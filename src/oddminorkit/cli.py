@@ -309,8 +309,6 @@ def ep(graph: str, fmt: str, s_set: str, l: int, limit: Optional[int],
     G = _read_graph(graph, fmt)
     try:
         S = [int(x) for x in s_set.split(",") if x.strip() != ""]
-        if any(not 0 <= v < G.n for v in S):
-            raise ValueError("S contains out-of-range vertex ids")
         res = odd_s_paths_dichotomy(G, S, l, limit=limit)
     except SizeLimitError as e:
         click.echo(f"size guard: {e}", err=True)

@@ -3,16 +3,30 @@
 An S-path joins two distinct vertices of S; its internal vertices are
 unrestricted. Either `l` pairwise vertex-disjoint qualifying paths exist, or
 a set of at most 2l-2 vertices meets them all.
+
+Both dichotomies run on one engine for Z2-labelled S-paths (the group-labelled
+A-paths of Chudnovsky, Geelen, Gerards, Goddyn, Lohman and Seymour): each
+vertex of S carries a label in {0, 1}, and a path u...v qualifies iff
+|E(P)| + lab(u) + lab(v) is odd. Odd S-paths have every label 0; a path
+between branch vertices breaks the parity of the coloring beta iff it
+qualifies with lab(c) = [beta(c) = 1].
+
+The engine searches G itself, the removed vertices kept as a bitmask, and
+memoizes the outcome of each residual graph. Candidate paths come shortest
+first, each from its lower end, pruned by walk-parity reachability. At
+packing level k >= 2, once the first candidate fails, a cover of fewer than
+k vertices (found by branching on the vertices of one surviving path) proves
+that no k disjoint paths exist, since each would need its own cover vertex.
+Covers are the first in (size, lexicographic) order.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .graph import Graph, Path, SizeLimitError
-from .oddminor import ParityQuery, default_limit, is_parity_breaking
+from .oddminor import default_limit
 from .subdivision import SubdivisionEmbedding, verify_subdivision
 
 DEFAULT_EP_LIMIT = 20
@@ -34,161 +48,195 @@ class PackingCoverResult:
         return self.packing is not None
 
 
-def _restricted(G: Graph, removed: Iterable[int]) -> Graph:
-    keep = set(G.vertices()) - set(removed)
-    return G.subgraph_on(keep)
+def _bits(m: int) -> Iterator[int]:
+    """Set bits of m, highest first."""
+    while m:
+        v = m.bit_length() - 1
+        yield v
+        m ^= 1 << v
 
 
-def _parity_reachable(G: Graph, start: int, avoid: frozenset[int]) -> dict:
-    """Walk parities realizable from start in G minus avoid: {(v, p), ...}."""
-    seen = {(start, 0)}
-    queue = [(start, 0)]
-    while queue:
-        v, p = queue.pop()
-        for w in G.neighbors(v):
-            if w in avoid:
-                continue
-            st = (w, p ^ 1)
-            if st not in seen:
-                seen.add(st)
-                queue.append(st)
-    return seen
+def _mask(vs: Iterable[int], n: int) -> int:
+    m = 0
+    for v in vs:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex id {v} out of range for {n} vertices")
+        m |= 1 << v
+    return m
 
 
-def find_odd_s_path(G: Graph, S: Iterable[int]) -> Optional[Path]:
-    """Some odd-length S-path, or None after exhaustive search.
+class _PathEngine:
+    """Qualifying S-paths of G minus a removed-vertex mask `gone`.
 
-    Depth-first over simple paths, pruned by walk-parity reachability (a walk
-    of the right parity to an eligible endpoint is necessary for a path).
+    odd_ends are the vertices of S labelled 1; internal vertices must lie in
+    `through` (default: anywhere). Results are memoized per residual.
     """
-    Sset = frozenset(v for v in S if 0 <= v < G.n)
-    for s in sorted(Sset):
-        targets = Sset - {s}
-        if not targets:
-            continue
-        # quick necessary condition on walks
-        reach = _parity_reachable(G, s, frozenset())
-        if not any((t, 1) in reach for t in targets):
-            continue
 
-        found: Optional[Path] = None
+    def __init__(self, G: Graph, S: Iterable[int], odd_ends: Iterable[int] = (),
+                 through: Optional[Iterable[int]] = None):
+        self.n = G.n
+        self.adj = [G.adj_mask(v) for v in G.vertices()]
+        self.S = _mask(S, G.n)
+        self.ones = _mask(odd_ends, G.n) & self.S
+        self.through = (1 << G.n) - 1 if through is None else _mask(through, G.n)
+        self._first: dict[int, Optional[Path]] = {}
+        self._packed: dict[tuple[int, int], Optional[tuple[Path, ...]]] = {}
 
-        def dfs(v: int, walk: tuple[int, ...], used: frozenset[int]) -> Optional[Path]:
-            for w in G.neighbors(v):
-                if w in used:
-                    continue
-                plen = len(walk) % 2  # parity of edge count after adding w
-                if w in targets and plen == 1:
-                    return Path(walk + (w,))
-                used2 = used | {w}
-                reach2 = _parity_reachable(G, w, used2 - {w})
-                need = plen ^ 1
-                if any((t, need) in reach2 for t in targets - used2):
-                    got = dfs(w, walk + (w,), used2)
-                    if got is not None:
-                        return got
-            return None
+    def _reach(self, v: int, blocked: int, steps: int) -> tuple[int, int]:
+        """(even, odd): vertices that walks of at most `steps` edges from v
+        reach with that length parity, avoiding blocked and continuing only
+        from `through` vertices."""
+        adj, through = self.adj, self.through
+        even, odd, fe, fo = 1 << v, 0, 1 << v, 0
+        while steps and (fe or fo):
+            ne = no = 0
+            while fe:
+                low = fe & -fe
+                no |= adj[low.bit_length() - 1]
+                fe ^= low
+            while fo:
+                low = fo & -fo
+                ne |= adj[low.bit_length() - 1]
+                fo ^= low
+            ne &= ~(blocked | even)
+            no &= ~(blocked | odd)
+            even |= ne
+            odd |= no
+            fe, fo = ne & through, no & through
+            steps -= 1
+        return even, odd
 
-        found = dfs(s, (s,), frozenset({s}))
-        if found is not None:
-            return found
-    return None
+    def paths(self, gone: int) -> Iterator[Path]:
+        """Qualifying paths of G - gone, from their lower end: shortest
+        first, then by lower end, then higher-numbered neighbours first."""
+        alive = ((1 << self.n) - 1) & ~gone
+        starts = []
+        for s in reversed(list(_bits(self.S & alive))):
+            above = self.S & alive & ~((2 << s) - 1)
+            same = above & (self.ones if self.ones >> s & 1 else ~self.ones)
+            # same-label ends need odd length, other-label ends even length
+            even, odd = self._reach(s, gone | 1 << s, self.n)
+            if odd & same or even & above & ~same:
+                starts.append((s, same, above & ~same))
+        for length in range(1, alive.bit_count()):
+            for s, same, other in starts:
+                yield from self._paths_from(s, length, same if length & 1 else other, gone)
 
+    def _paths_from(self, s: int, length: int, ends: int, gone: int) -> Iterator[Path]:
+        adj, through, walk = self.adj, self.through, [s]
 
-def _odd_s_paths(G: Graph, S: frozenset[int]) -> Iterator[Path]:
-    """All odd S-paths, shortest first (iterative deepening on exact length)."""
-    verts = sorted(S)
-    for length in range(1, G.n, 2):
-        for s in verts:
-            stack: list[tuple[int, tuple[int, ...]]] = [(s, (s,))]
-            while stack:
-                v, walk = stack.pop()
-                d = len(walk) - 1
-                if d == length:
-                    if v in S and v > s:
-                        yield Path(walk)
-                    continue
-                for w in G.neighbors(v):
-                    if w not in walk:
-                        stack.append((w, walk + (w,)))
+        def extend(v: int, used: int, rem: int) -> Iterator[Path]:
+            if rem == 1:
+                for w in _bits(adj[v] & ends & ~used):
+                    yield Path(tuple(walk) + (w,))
+                return
+            even, odd = self._reach(v, used | gone, rem)
+            if not (odd if rem & 1 else even) & ends & ~used:
+                return
+            for w in _bits(adj[v] & through & ~used & ~gone):
+                walk.append(w)
+                yield from extend(w, used | 1 << w, rem - 1)
+                walk.pop()
 
+        if ends:
+            yield from extend(s, 1 << s, length)
 
-def _pack_odd_paths(G: Graph, S: frozenset[int], k: int) -> Optional[list[Path]]:
-    if k == 0:
-        return []
-    if find_odd_s_path(G, S) is None:
+    def first(self, gone: int) -> Optional[Path]:
+        if gone not in self._first:
+            self._first[gone] = next(self.paths(gone), None)
+        return self._first[gone]
+
+    def pack(self, gone: int, k: int) -> Optional[tuple[Path, ...]]:
+        """k disjoint qualifying paths of G - gone, each the first candidate
+        that leaves room for the rest, or None."""
+        if k == 0:
+            return ()
+        key = (gone, k)
+        if key not in self._packed:
+            self._packed[key] = self._pack(gone, k)
+        return self._packed[key]
+
+    def _pack(self, gone: int, k: int) -> Optional[tuple[Path, ...]]:
+        for i, p in enumerate(self.paths(gone)):
+            rest = self.pack(gone | _mask(p.vertices, self.n), k - 1)
+            if rest is not None:
+                return (p,) + rest
+            if i == 0 and self.coverable(gone, k - 1):
+                return None
         return None
-    for p in _odd_s_paths(G, S):
-        G2 = _restricted(G, p.vertices)
-        rest = _pack_odd_paths(G2, S - set(p.vertices), k - 1)
-        if rest is not None:
-            return [p] + rest
-    return None
+
+    def coverable(self, gone: int, j: int) -> bool:
+        """Whether at most j more vertices meet every path of G - gone."""
+        p = self.first(gone)
+        if p is None:
+            return True
+        return j > 0 and any(self.coverable(gone | 1 << v, j - 1) for v in p.vertices)
+
+    def first_cover(self, j: int, gone: int = 0, lo: int = 0) -> Optional[tuple[int, ...]]:
+        """The lexicographically first j vertices >= lo meeting every path of
+        G - gone, or None. Skipped sets miss a surviving path; the caller
+        tries smaller j first, so no proper prefix is a cover."""
+        p = self.first(gone)
+        if p is None:
+            return ()
+        if j == 0:
+            return None
+        on_p = _mask(p.vertices, self.n)
+        for x in range(lo, max(p.vertices) + 1):
+            if j == 1 and not on_p >> x & 1:
+                continue
+            rest = self.first_cover(j - 1, gone | 1 << x, x + 1)
+            if rest is not None:
+                return (x,) + rest
+        return None
 
 
-def odd_s_paths_dichotomy(
-    G: Graph,
-    S: Iterable[int],
-    l: int,
-    limit: Optional[int] = None,
-    cover_candidates: Optional[Iterable[int]] = None,
+def _dichotomy(
+    G: Graph, eng: _PathEngine, l: int, limit: Optional[int]
 ) -> PackingCoverResult:
-    """Either l vertex-disjoint odd S-paths or a cover of size <= 2l-2.
-
-    Packing is attempted first; covers are searched by increasing size in
-    lexicographic order, so the result is deterministic. cover_candidates
-    optionally restricts which vertices a cover may use (the caller must know
-    this preserves completeness).
-    """
     if l < 1:
         raise ValueError("l must be >= 1")
     lim = default_limit(DEFAULT_EP_LIMIT) if limit is None else limit
     if G.n > lim:
         raise SizeLimitError(f"graph has {G.n} > {lim} vertices")
-    Sset = frozenset(S)
-    packed = _pack_odd_paths(G, Sset, l)
-    if packed is not None:
-        return PackingCoverResult(packing=tuple(packed))
-    cands = sorted(set(G.vertices()) if cover_candidates is None else set(cover_candidates))
-    for size in range(0, 2 * l - 1):
-        for X in itertools.combinations(cands, size):
-            G2 = _restricted(G, X)
-            if find_odd_s_path(G2, Sset - set(X)) is None:
-                return PackingCoverResult(cover=frozenset(X))
+    packing = eng.pack(0, l)
+    if packing is not None:
+        return PackingCoverResult(packing=packing)
+    for size in range(2 * l - 1):
+        X = eng.first_cover(size)
+        if X is not None:
+            return PackingCoverResult(cover=frozenset(X))
     raise AssertionError(
         "dichotomy failed: no packing and no small cover (implementation bug)"
     )
 
 
-# ---------------------------------------------------------------------------
-# Parity-breaking C-paths via virtual subdivision
-# ---------------------------------------------------------------------------
+def find_odd_s_path(
+    G: Graph, S: Iterable[int], avoid: Iterable[int] = ()
+) -> Optional[Path]:
+    """A shortest odd S-path of G minus avoid, or None after exhaustive
+    search."""
+    return _PathEngine(G, S).first(_mask(avoid, G.n))
 
 
-def _virtual_subdivide(
-    G: Graph, anchors: frozenset[int]
-) -> tuple[Graph, dict[int, int]]:
-    """Subdivide, once per incidence, every edge incident with an anchor.
+def labelled_s_paths(G: Graph, S: Iterable[int], odd_ends: Iterable[int] = (),
+                     through: Optional[Iterable[int]] = None) -> list[Path]:
+    """Every qualifying S-path (odd_ends labelled 1) whose internal vertices
+    lie in `through`, from its lower end, sorted by vertex sequence."""
+    eng = _PathEngine(G, S, odd_ends, through)
+    return sorted(eng.paths(0), key=lambda p: p.vertices)
 
-    Returns the new graph (original ids preserved, virtual ids >= G.n) and a
-    map from each virtual vertex to the anchor that created it.
+
+def odd_s_paths_dichotomy(
+    G: Graph, S: Iterable[int], l: int, limit: Optional[int] = None
+) -> PackingCoverResult:
+    """Either l vertex-disjoint odd S-paths or a cover of size <= 2l-2.
+
+    Packing is attempted first; covers are searched by increasing size in
+    lexicographic order, so the result is deterministic. S must hold vertex
+    ids of G.
     """
-    edges: list[tuple[int, int]] = []
-    anchor_of: dict[int, int] = {}
-    nxt = G.n
-    for u, v in G.edges():
-        chain = [u]
-        if u in anchors:
-            anchor_of[nxt] = u
-            chain.append(nxt)
-            nxt += 1
-        if v in anchors:
-            anchor_of[nxt] = v
-            chain.append(nxt)
-            nxt += 1
-        chain.append(v)
-        edges.extend(zip(chain, chain[1:]))
-    return Graph(nxt, edges), anchor_of
+    return _dichotomy(G, _PathEngine(G, S), l, limit)
 
 
 def parity_breaking_dichotomy(
@@ -197,36 +245,13 @@ def parity_breaking_dichotomy(
     """Either l disjoint parity-breaking C-paths (with respect to the union
     of emb) or a cover of size <= 2l-2 killing all of them.
 
-    Reduction: every G-edge incident with a branch vertex on the L side of
-    the union's bipartition is subdivided once per such incidence; odd
-    C-paths of the subdivided graph are exactly the parity-breaking C-paths
-    of G. Covers are searched over real vertices only, which is complete
-    because any path through a virtual vertex also passes its anchor.
+    A C-path u...v breaks parity iff |E(P)| + beta(u) + beta(v) is odd, so
+    these are the qualifying paths for the labels [beta(c) = 1].
     """
-    if l < 1:
-        raise ValueError("l must be >= 1")
     ok, reason = verify_subdivision(G, emb, require_bipartite=True)
     if not ok:
         raise ValueError(f"invalid embedding: {reason}")
-    lim = default_limit(DEFAULT_EP_LIMIT) if limit is None else limit
-    if G.n > lim:
-        raise SizeLimitError(f"graph has {G.n} > {lim} vertices")
     beta = emb.host_coloring(G.n)
     assert beta is not None
-    C = emb.C
-    anchors = frozenset(v for v in C if beta(v) == 1)
-    G2, _anchor_of = _virtual_subdivide(G, anchors)
-    res = odd_s_paths_dichotomy(
-        G2, C, l, limit=G2.n, cover_candidates=G.vertices()
-    )
-    if res.is_packing:
-        mapped = []
-        for p in res.packing:
-            real = tuple(v for v in p.vertices if v < G.n)
-            q = Path(real)
-            assert q.is_path_of(G)
-            assert is_parity_breaking(ParityQuery(q, beta))
-            mapped.append(q)
-        return PackingCoverResult(packing=tuple(mapped))
-    assert all(v < G.n for v in res.cover)
-    return res
+    ones = [c for c in emb.C if beta(c) == 1]
+    return _dichotomy(G, _PathEngine(G, emb.C, ones), l, limit)

@@ -1,7 +1,8 @@
 """Simple undirected graphs and the classical subroutines everything else consumes.
 
 Vertices are dense 0-based integers.  Graphs are immutable after
-construction and safe to share between threads.
+construction (the neighbour sets are a view built on first use) and safe to
+share between threads.
 """
 
 from __future__ import annotations
@@ -24,29 +25,33 @@ def _norm_edge(u: int, v: int) -> tuple[int, int]:
 
 
 class Graph:
-    """A finite simple undirected graph on vertices 0..n-1."""
+    """A finite simple undirected graph on vertices 0..n-1.
+
+    Adjacency is one bitmask per vertex. The frozensets neighbors() returns
+    are built on its first call, since many graphs (the odd S-path engine's
+    inputs, certificate hosts) are only read through masks and edges.
+    """
 
     __slots__ = ("n", "_adj", "_adj_mask", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        es: set[tuple[int, int]] = set()
+        masks = [0] * n
+        es: list[tuple[int, int]] = []
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"vertex index out of range in edge ({u},{v})")
             if u == v:
                 raise GraphError(f"loop at vertex {u} rejected")
-            e = _norm_edge(u, v)
-            if e in es:
+            if masks[u] >> v & 1:
                 raise GraphError(f"parallel edge ({u},{v}) rejected")
-            es.add(e)
-            adj[u].add(v)
-            adj[v].add(u)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+            es.append(_norm_edge(u, v))
         self.n = n
-        self._adj = tuple(frozenset(s) for s in adj)
-        self._adj_mask = tuple(sum(1 << w for w in s) for s in adj)
+        self._adj: Optional[tuple[frozenset[int], ...]] = None
+        self._adj_mask = tuple(masks)
         self._edges = tuple(sorted(es))
 
     # -- basic queries -------------------------------------------------
@@ -62,16 +67,23 @@ class Graph:
         return self._edges
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self._adj[v]
+        adj = self._adj
+        if adj is None:
+            sets: list[list[int]] = [[] for _ in range(self.n)]
+            for a, b in self._edges:
+                sets[a].append(b)
+                sets[b].append(a)
+            adj = self._adj = tuple(map(frozenset, sets))
+        return adj[v]
 
     def adj_mask(self, v: int) -> int:
         return self._adj_mask[v]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self._adj_mask[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        return 0 <= v < self.n and self._adj_mask[u] >> v & 1 == 1
 
     def __eq__(self, other) -> bool:
         return (
@@ -134,7 +146,7 @@ class Graph:
             while stack:
                 v = stack.pop()
                 comp.append(v)
-                for w in self._adj[v]:
+                for w in self.neighbors(v):
                     if not seen[w]:
                         seen[w] = True
                         stack.append(w)
@@ -149,7 +161,7 @@ class Graph:
         seen = {stack[0]}
         while stack:
             v = stack.pop()
-            for w in self._adj[v]:
+            for w in self.neighbors(v):
                 if w in vset and w not in seen:
                     seen.add(w)
                     stack.append(w)

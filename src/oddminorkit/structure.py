@@ -9,7 +9,7 @@ from typing import Iterable, Optional, Union
 
 from .graph import Graph, Path, TwoColoring, bipartition, blocks
 from .oddminor import OddMinorModel, ParityQuery, is_parity_breaking, verify_odd_minor_model
-from .erdosposa import parity_breaking_dichotomy
+from .erdosposa import labelled_s_paths, parity_breaking_dichotomy
 from .subdivision import (
     SubdivisionEmbedding,
     find_bipartite_join_subdivision,
@@ -41,34 +41,6 @@ class Decomposition:
 def _canonical(p: Path) -> Path:
     a, b = p.ends
     return p if a < b else Path(tuple(reversed(p.vertices)))
-
-
-def _parity_breaking_c_paths(
-    G: Graph, C: frozenset[int], beta: TwoColoring
-) -> list[Path]:
-    """All parity-breaking C-paths with no internal vertex in C.
-
-    The minimizing family never routes through C internally (a shorter
-    subpath would improve it), so this restriction loses no minimizer.
-    """
-    out: list[Path] = []
-
-    def dfs(start: int, v: int, walk: tuple[int, ...]):
-        for w in G.neighbors(v):
-            if w in walk:
-                continue
-            if w in C:
-                if w > start:
-                    p = Path(walk + (w,))
-                    if is_parity_breaking(ParityQuery(p, beta)):
-                        out.append(p)
-                continue
-            dfs(start, w, walk + (w,))
-
-    for c in sorted(C):
-        dfs(c, c, (c,))
-    out.sort(key=lambda p: p.vertices)
-    return out
 
 
 def _minimize_family(
@@ -110,10 +82,7 @@ def block_or_packing(
     at most 2l-2 with a bipartite block retaining most branch vertices."""
     if emb.s < 2 * l or emb.t < 1:
         raise ValueError("pattern too small for the requested packing size")
-    ok, reason = verify_subdivision(G, emb, require_bipartite=True)
-    if not ok:
-        raise ValueError(f"invalid embedding: {reason}")
-    res = parity_breaking_dichotomy(G, emb, l, limit=limit)
+    res = parity_breaking_dichotomy(G, emb, l, limit=limit)  # checks emb
     if res.is_packing:
         return res.packing
     X = res.cover
@@ -169,7 +138,10 @@ def build_odd_clique_model(
         used_check |= set(p.vertices)
 
     h_edges = emb.union_edges()
-    cands = _parity_breaking_c_paths(G, C, beta)
+    # the minimizing family never routes through C internally (a shorter
+    # subpath would improve it), so such paths are not candidates
+    ones = [c for c in C if beta(c) == 1]
+    cands = labelled_s_paths(G, C, ones, set(G.vertices()) - C)
     family = _minimize_family(cands, t - 1, h_edges)
     assert family is not None, "minimization lost a family the input exhibits"
 

@@ -7,8 +7,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-import networkx as nx
-
 from .graph import Graph, Path, SizeLimitError, TwoColoring, bipartition, _norm_edge
 from .oddminor import default_limit
 
@@ -269,6 +267,8 @@ def contains_Kst_star(
     pat = kst_star_pattern(s, t)
     if G.n < pat.n or G.m < pat.m:
         return False
+    import networkx as nx  # its only runtime use; importing it costs ~0.1 s
+
     host = nx.Graph()
     host.add_nodes_from(G.vertices())
     host.add_edges_from(G.edges())

@@ -144,3 +144,21 @@ def test_coloring_value_is_checked():
     bad = parse_certificate(json.dumps(doc))
     ok, reason = verify_certificate(K44, bad)
     assert not ok and reason == "reported-quality-not-met"
+
+
+@pytest.mark.parametrize("kind, field, value, reason", [
+    ("packing", "l", -3, "l-out-of-range"),
+    ("packing", "l", 0, "l-out-of-range"),
+    ("packing", "S", [0, 1, 2, 3, 10**9], "s-out-of-range"),
+    ("packing", "S", [-1, 0, 1, 2, 3], "s-out-of-range"),
+    ("cover", "l", -3, "l-out-of-range"),
+    ("cover", "S", [0, 10**9], "s-out-of-range"),
+    ("cover", "S", [-6, 0, 1, 2], "s-out-of-range"),
+])
+def test_packing_and_cover_fields_are_range_checked(kind, field, value, reason):
+    G, cert = next((G, c) for G, c in all_kinds() if c.kind == kind)
+    doc = json.loads(serialize_certificate(cert))
+    doc["payload"][field] = value
+    ok, got = verify_certificate(G, parse_certificate(json.dumps(doc)))
+    assert not ok and got == reason
+

@@ -1,5 +1,6 @@
 """Odd S-path and parity-breaking C-path packing/covering dichotomies."""
 
+import itertools
 import random
 
 import pytest
@@ -11,12 +12,14 @@ from oddminorkit import (
     ParityQuery,
     Path,
     chorded_subdivision,
+    complete,
     find_odd_s_path,
     is_parity_breaking,
     join_subdivision,
     odd_s_paths_dichotomy,
     parity_breaking_dichotomy,
 )
+from oddminorkit.erdosposa import labelled_s_paths
 from oddminorkit.graph import SizeLimitError
 
 import oracles
@@ -70,6 +73,54 @@ def test_dichotomy_both_branches_reverify(seed):
         assert best < l
         assert len(res.cover) <= 2 * l - 2
         assert oracles.cover_kills_all(G, S, res.cover)
+
+
+@given(st.integers(0, 400))
+def test_labelled_engine_matches_brute_force(seed):
+    """Every path u...v (u < v in S) with |E| + lab(u) + lab(v) odd and
+    internal vertices in `through`, against networkx path enumeration."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 8)
+    G = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                  if rng.random() < 0.4])
+    S = set(rng.sample(range(n), rng.randint(2, min(5, n))))
+    ones = {v for v in S if rng.random() < 0.5}
+    through = None if rng.random() < 0.5 else set(rng.sample(range(n), rng.randint(0, n)))
+    expected = sorted(
+        tuple(p)
+        for a, b in itertools.combinations(sorted(S), 2)
+        for p in oracles.all_simple_paths_between(G, a, b)
+        if (len(p) - 1 + (a in ones) + (b in ones)) % 2 == 1
+        and (through is None or set(p[1:-1]) <= through)
+    )
+    got = labelled_s_paths(G, S, ones, through)
+    assert [p.vertices for p in got] == expected
+
+
+@given(st.integers(0, 150))
+def test_cover_is_the_first_in_size_then_lex_order(seed):
+    rng = random.Random(seed)
+    n = rng.randint(3, 8)
+    G = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                  if rng.random() < 0.45])
+    S = set(rng.sample(range(n), rng.randint(2, min(5, n))))
+    l = rng.randint(1, 3)
+    res = odd_s_paths_dichotomy(G, S, l)
+    if res.is_packing:
+        return
+    first = next(
+        frozenset(X)
+        for size in range(2 * l - 1)
+        for X in itertools.combinations(range(n), size)
+        if oracles.cover_kills_all(G, S, X)
+    )
+    assert res.cover == first
+
+
+@pytest.mark.parametrize("bad", [-1, -5, 4])
+def test_s_out_of_range_is_rejected(bad):
+    with pytest.raises(ValueError):
+        odd_s_paths_dichotomy(complete(4), {0, 1, bad}, 1)
 
 
 def test_dichotomy_is_deterministic():

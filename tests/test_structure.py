@@ -11,6 +11,7 @@ from oddminorkit import (
     HypothesisUnmetError,
     bipartition,
     block_or_packing,
+    blocks,
     build_odd_clique_model,
     chorded_subdivision,
     join_subdivision,
@@ -84,6 +85,22 @@ def test_structure_theorem_dichotomy(seed):
         assert len(out.X) <= 2 * t - 4
         assert len(out.U) >= t + 3
         assert len(out.retained_branch) >= (3 * t - 2) - len(out.X)
+
+
+def test_structure_theorem_on_the_45_vertex_one_chord_instance():
+    # t = 3 with one chord: no 2 disjoint parity-breaking paths, but one
+    # vertex meets them all, which rules out a packing of 2
+    G, emb, chords = chorded_subdivision(4, 3, 1, seed=2)
+    assert G.n == 45
+    out = structure_theorem(G, 3, limit=G.n)
+    assert isinstance(out, Decomposition)
+    assert out.X == frozenset({2})
+    Gx = G.subgraph_on(set(G.vertices()) - out.X)
+    assert out.U in set(blocks(Gx))
+    assert bipartition(G.subgraph_on(out.U)) is not None
+    assert len(out.U) >= 3 + 3
+    assert len(out.retained_branch) >= (3 * 3 - 2) - len(out.X)
+    assert out.reduced.union_vertices() <= out.U
 
 
 def test_structure_theorem_detects_embedding_itself():
