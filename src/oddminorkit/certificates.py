@@ -388,6 +388,12 @@ def verify_certificate(G: Graph, cert: Certificate) -> tuple[bool, str]:
         raise CertificateError("graph-hash-mismatch")
     p = cert.payload
     try:
+        if cert.kind in ("odd-minor-model", "signed-minor-model"):
+            # a pattern larger than its host has no model; refusing it here
+            # also keeps _pattern_of from allocating a hostile pattern_n
+            n = p["pattern_n"]
+            if isinstance(n, int) and not 0 <= n <= G.n:
+                return False, "pattern-too-large"
         if cert.kind == "odd-minor-model":
             H, model = odd_minor_model_of(p)
             return verify_odd_minor_model(G, H, model)
@@ -404,6 +410,6 @@ def verify_certificate(G: Graph, cert: Certificate) -> tuple[bool, str]:
             return _verify_decomposition(G, p)
         if cert.kind == "coloring":
             return _verify_coloring_payload(G, p)
-    except (KeyError, TypeError, ValueError, IndexError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError, IndexError) as e:
         return False, f"malformed-payload: {e}"
     raise CertificateError(f"unknown certificate kind {cert.kind!r}")

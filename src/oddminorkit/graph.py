@@ -525,22 +525,49 @@ def find_small_separation(
 ) -> Optional[Separation]:
     """A separation (A, B) of order <= max_order leaving a vertex outside Z
     strictly on each side, minimizing order (tie-break: lexicographically
-    least A cap B).  None if no such separation exists."""
-    Zs = set(Z)
-    verts = list(range(G.n))
+    least A cap B).  None if no such separation exists.
+
+    Cuts are tried by order, and within one order in lexicographic order.
+    For each cut the components of G - cut are flood-filled over the
+    adjacency bitmasks, lowest vertex first; A is the cut plus the first
+    component that meets V - Z, and B is everything outside that component.
+    No Graph is built per cut.
+    """
+    n = G.n
+    adj = G._adj_mask
+    full = (1 << n) - 1
+    outside_z = full
+    for z in set(Z):
+        if 0 <= z < n:
+            outside_z &= ~(1 << z)
     for k in range(0, max_order + 1):
-        for cut in itertools.combinations(verts, k):
-            cutset = set(cut)
-            rest, old_ids = G.without_vertices(cutset)
-            comps = [[old_ids[v] for v in comp] for comp in rest.components()]
-            good = [c for c in comps if any(v not in Zs for v in c)]
-            if len(good) >= 2:
-                side_a = set(good[0]) | cutset
-                side_b = set(cutset)
-                for c in comps:
-                    if c is not good[0]:
-                        side_b.update(c)
-                return Separation(frozenset(side_a), frozenset(side_b))
+        for cut in itertools.combinations(range(n), k):
+            cutmask = 0
+            for v in cut:
+                cutmask |= 1 << v
+            alive = full & ~cutmask
+            rest = alive
+            side_a = 0
+            while rest:
+                comp = frontier = rest & -rest
+                while frontier:
+                    reach = 0
+                    while frontier:
+                        low = frontier & -frontier
+                        reach |= adj[low.bit_length() - 1]
+                        frontier ^= low
+                    frontier = reach & alive & ~comp
+                    comp |= frontier
+                if comp & outside_z:
+                    side_a = comp
+                    break
+                rest &= ~comp
+            if side_a and alive & outside_z & ~side_a:
+                A, B = side_a | cutmask, full & ~side_a
+                return Separation(
+                    frozenset(v for v in range(n) if A >> v & 1),
+                    frozenset(v for v in range(n) if B >> v & 1),
+                )
     return None
 
 

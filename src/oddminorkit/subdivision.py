@@ -143,6 +143,15 @@ def find_bipartite_join_subdivision(
     Branch candidates are filtered by degree and tried high-degree first;
     linking paths are routed one pattern edge at a time, shortest first, with
     the union's 2-coloring propagated so odd closures are pruned immediately.
+
+    A pattern edge between non-adjacent branch vertices needs an interior
+    vertex of its own: interiors are pairwise disjoint and avoid all s + t
+    branch vertices, so at most n - s - t such edges can be routed. Branch
+    choices with more are skipped before any path is tried, a clique when its
+    non-adjacent pairs plus the t cheapest stable vertices (a stable vertex
+    costs its non-neighbours in the clique) exceed that, a stable set when
+    its own total does. Only choices that cannot route are skipped, so the
+    search returns the embedding it would return without the bound.
     """
     if s < 1 or t < 0:
         raise ValueError("need s >= 1 and t >= 0")
@@ -182,9 +191,19 @@ def find_bipartite_join_subdivision(
             del linking[(u, v)]
         return False
 
+    room = G.n - s - t  # vertices left for linking-path interiors
     for clique in itertools.combinations(clique_cands, s):
+        cmask = sum(1 << v for v in clique)
+        need = sum(
+            s - 1 - (G.adj_mask(v) & cmask).bit_count() for v in clique
+        ) // 2
         rest = [v for v in by_degree if v not in clique and G.degree(v) >= s]
+        cost = {v: s - (G.adj_mask(v) & cmask).bit_count() for v in rest}
+        if need + sum(sorted(cost.values())[:t]) > room:
+            continue
         for stable in itertools.combinations(rest, t):
+            if need + sum(cost[v] for v in stable) > room:
+                continue
             branch = {i: clique[i] for i in range(s)}
             branch.update({s + j: stable[j] for j in range(t)})
             linking: dict[Edge, Path] = {}

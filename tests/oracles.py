@@ -92,3 +92,19 @@ def vertex_connectivity_between(G: Graph, A, B) -> int:
         D.add_edge(("out", b), "t", capacity=inf)
     flow = nx.maximum_flow_value(D, "s", "t") if (As - shared) and (Bs - shared) else 0
     return flow + len(shared)
+
+
+def first_small_separation(G: Graph, Z, max_order: int):
+    """(A, B) of the first cut, by order and then lexicographically, whose
+    removal leaves two components that meet V - Z; A is the cut plus the
+    first such component (by lowest vertex), B the rest.  One Graph per cut."""
+    Zs = set(Z)
+    for k in range(max_order + 1):
+        for cut in itertools.combinations(range(G.n), k):
+            rest, old_ids = G.without_vertices(cut)
+            comps = [[old_ids[v] for v in c] for c in rest.components()]
+            good = [c for c in comps if any(v not in Zs for v in c)]
+            if len(good) >= 2:
+                A = frozenset(good[0]) | frozenset(cut)
+                return A, frozenset(G.vertices()) - frozenset(good[0])
+    return None

@@ -162,3 +162,16 @@ def test_packing_and_cover_fields_are_range_checked(kind, field, value, reason):
     ok, got = verify_certificate(G, parse_certificate(json.dumps(doc)))
     assert not ok and got == reason
 
+
+@pytest.mark.parametrize("kind", ["odd-minor-model", "signed-minor-model"])
+@pytest.mark.parametrize("field, value, reason", [
+    ("trees", [1, 2, 3], "malformed-payload"),
+    ("pattern_n", 10**9, "pattern-too-large"),
+    ("pattern_n", -1, "pattern-too-large"),
+])
+def test_minor_model_payloads_are_checked_before_use(kind, field, value, reason):
+    G, cert = next((G, c) for G, c in all_kinds() if c.kind == kind)
+    doc = json.loads(serialize_certificate(cert))
+    doc["payload"][field] = value
+    ok, got = verify_certificate(G, parse_certificate(json.dumps(doc)))
+    assert not ok and got.split(":")[0] == reason

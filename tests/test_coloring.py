@@ -119,14 +119,17 @@ def test_base_colorers_on_easy_shapes():
 
 
 def test_defective_palette_and_verification():
-    for G in (complete_bipartite(3, 3), complete_bipartite(4, 4), cycle(6)):
+    # K_{6,6} holds no bipartite K_4 + I_3 subdivision, so it reaches the
+    # base colorer; an unbounded subdivision search used to hang on it
+    for G in (complete_bipartite(3, 3), complete_bipartite(4, 4), cycle(6),
+              complete_bipartite(6, 6)):
         c, defect = color_defective(G, 3)
         assert c.palette_size == 9
         assert verify_coloring(G, c, BoundedDegree(max(defect, 4)))
 
 
 def test_clustered_palette_and_verification():
-    for G in (complete_bipartite(4, 4), cycle(8)):
+    for G in (complete_bipartite(4, 4), cycle(8), complete_bipartite(6, 6)):
         c, cluster = color_clustered(G, 3)
         assert c.palette_size == 17
         assert verify_coloring(G, c, BoundedComponent(max(cluster, 5)))

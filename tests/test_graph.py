@@ -188,6 +188,17 @@ def test_small_separation_contract(G, data):
             assert len(comps) < 2
 
 
+@given(graphs(max_n=9), st.data())
+def test_small_separation_matches_oracle(G, data):
+    """Same minimum order and the same lexicographic tie-break as the
+    one-Graph-per-cut enumeration."""
+    Z = data.draw(st.sets(st.integers(0, max(G.n - 1, 0)), max_size=4))
+    max_order = data.draw(st.integers(0, 3))
+    sep = find_small_separation(G, Z, max_order)
+    want = oracles.first_small_separation(G, Z, max_order)
+    assert (None if sep is None else (sep.A, sep.B)) == want
+
+
 def test_path_parity_and_edges():
     p = Path((3, 1, 0, 2))
     assert p.length == 3 and p.parity == 1

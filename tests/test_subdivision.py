@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from oddminorkit import (
     Graph,
+    complete_bipartite,
     contains_Kst_star,
     find_bipartite_join_subdivision,
     join_pattern_edges,
@@ -86,6 +87,8 @@ def test_known_negatives():
     assert find_bipartite_join_subdivision(C5, 2, 1) is None
     star = Graph(5, [(0, i) for i in range(1, 5)])
     assert find_bipartite_join_subdivision(star, 2, 1) is None
+    # every branch choice needs at least 6 interior vertices; 5 are left
+    assert find_bipartite_join_subdivision(complete_bipartite(6, 6), 4, 3) is None
 
 
 @given(st.integers(0, 60))
@@ -101,6 +104,22 @@ def test_detector_matches_brute_force(seed):
     if got is not None:
         ok, reason = verify_subdivision(G, got, require_bipartite=True)
         assert ok, reason
+
+
+def test_interior_bound_keeps_the_search_exact():
+    rng = random.Random(2024)
+    for _ in range(40):
+        n = rng.randint(4, 9)
+        p = rng.uniform(0.25, 0.6)
+        G = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                      if rng.random() < p])
+        s, t = rng.choice([(2, 1), (2, 2), (3, 1), (3, 2)])
+        got = find_bipartite_join_subdivision(G, s, t)
+        if got is not None:
+            ok, reason = verify_subdivision(G, got, require_bipartite=True)
+            assert ok, reason
+        elif n <= 7:  # from n = 8 on the brute-force oracle is too slow
+            assert not brute_has_bipartite_subdivision(G, s, t)
 
 
 @given(st.integers(0, 80))
