@@ -173,9 +173,7 @@ def detect(graph: str, fmt: str, mode: str, t: int, s: Optional[int],
         elif mode == "subdivision":
             if s is None:
                 sys.exit(_fail("subdivision mode needs --s"))
-            emb = find_bipartite_join_subdivision(
-                G, s, t, **({} if limit is None else {"limit": limit})
-            )
+            emb = find_bipartite_join_subdivision(G, s, t, limit=limit)
             if emb is None:
                 _write("absent", out)
                 return
@@ -183,8 +181,7 @@ def detect(graph: str, fmt: str, mode: str, t: int, s: Optional[int],
         else:
             Kt = Graph(t, [(i, j) for i in range(t) for j in range(i + 1, t)])
             sig = [tuple(e) for e in json.loads(sigma)]
-            kw = {} if limit is None else {"limit": limit}
-            model = find_signed_minor(G, Kt, sig, **kw)
+            model = find_signed_minor(G, Kt, sig, limit=limit)
             if model is None:
                 _write("absent", out)
                 return
@@ -228,8 +225,9 @@ def color(graph: str, fmt: str, t: int, mode: str, trace: bool,
           c0: float, out: Optional[str]):
     """Color with at most 6t-9 (defective) or 10t-13 (clustered) colors.
 
-    Emits the coloring certificate plus a JSON report; if an odd K_t minor
-    surfaces, emits its certificate instead and exits 2.
+    Emits the coloring certificate plus a JSON report (with --out, the
+    certificate goes to the file and the report to stdout); if an odd K_t
+    minor surfaces, emits its certificate instead and exits 2.
     """
     G = _read_graph(graph, fmt)
     try:
@@ -253,10 +251,9 @@ def color(graph: str, fmt: str, t: int, mode: str, trace: bool,
     }
     if tr is not None:
         report["recursion_trace"] = tr
-    lines = certs.serialize_certificate(cert) + "\n" + json.dumps(
-        report, sort_keys=True, separators=(",", ":")
-    )
-    _write(lines, out)
+    _write(certs.serialize_certificate(cert), out)
+    # the report stays on stdout so that --out holds a certificate alone
+    click.echo(json.dumps(report, sort_keys=True, separators=(",", ":")))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from .graph import Graph
+from .graph import Graph, bipartition
 from .oddminor import OddMinorModel, relabel_model
 from .structure import Decomposition, structure_theorem
 from .subdivision import find_bipartite_join_subdivision, relabel_embedding
@@ -348,8 +348,6 @@ def _extend(
     avail = [c for c in range(1, 4 * t - 4 + 1) if c not in set(f.values())]
     assert len(avail) >= 3, "not enough fresh colors"
     c1, c2, c3 = avail[:3]
-    from .graph import bipartition
-
     UZ = U - Z
     side = bipartition(G.subgraph_on(UZ))
     assert side is not None
@@ -371,7 +369,8 @@ def _maybe_precheck(G: Graph, t: int, precheck: Optional[bool]) -> None:
 
     if precheck is None:
         precheck = G.n <= 10
-    if precheck:
+    # every odd K_t (t >= 3) holds an odd K_3, which exists iff G is not bipartite
+    if precheck and not (t >= 3 and bipartition(G) is not None):
         model = find_odd_clique_minor(G, t, limit=G.n)
         if model is not None:
             raise OddMinorFoundError(t, model)
@@ -384,7 +383,8 @@ def color_defective(
     """Color with at most 6t-9 colors; returns the coloring and the achieved
     defect. Raises OddMinorFoundError with a certificate when an odd K_t
     minor surfaces (always when the upfront check runs; the check defaults
-    to on for graphs with at most 10 vertices)."""
+    to on for graphs with at most 10 vertices, and for t >= 3 it settles a
+    bipartite host by its 2-coloring, without the exhaustive search)."""
     if t < 2:
         raise ValueError("t must be >= 2")
     _maybe_precheck(G, t, precheck)

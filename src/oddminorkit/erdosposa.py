@@ -25,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .graph import Graph, Path, SizeLimitError
-from .oddminor import default_limit
+from .graph import Graph, Path, SizeLimitError, default_limit
 from .subdivision import SubdivisionEmbedding, verify_subdivision
 
 DEFAULT_EP_LIMIT = 20

@@ -8,6 +8,7 @@ share between threads.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -18,6 +19,17 @@ class GraphError(ValueError):
 
 class SizeLimitError(RuntimeError):
     """A desk-scale exhaustive search was asked to run on too large a graph."""
+
+
+def default_limit(fallback: int = 14) -> int:
+    """Size guard for the exhaustive searches; ODDMINOR_LIMIT overrides."""
+    env = os.environ.get("ODDMINOR_LIMIT")
+    if env:
+        try:
+            return int(env)
+        except ValueError:
+            pass
+    return fallback
 
 
 def _norm_edge(u: int, v: int) -> tuple[int, int]:

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .graph import Graph, Path, SizeLimitError, TwoColoring, bipartition, _norm_edge
+from .graph import (
+    Graph, Path, SizeLimitError, TwoColoring, bipartition, default_limit, _norm_edge,
+)
 from .signed import (
     _bits,
     _connected_subsets,
@@ -17,17 +18,6 @@ from .signed import (
 
 Edge = tuple[int, int]
 Connector = Union[Edge, Path]
-
-
-def default_limit(fallback: int = 14) -> int:
-    """Size guard for the exhaustive detectors; ODDMINOR_LIMIT overrides."""
-    env = os.environ.get("ODDMINOR_LIMIT")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return fallback
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graph import Graph, Path, SizeLimitError, _norm_edge
+from .graph import Graph, Path, SizeLimitError, default_limit, _norm_edge
 
 Edge = tuple[int, int]
 
@@ -293,11 +293,12 @@ def find_signed_minor(
     G: Graph,
     H: Graph,
     sigma_h: Iterable[Edge],
-    limit: int = DEFAULT_SIGNED_MINOR_LIMIT,
+    limit: Optional[int] = None,
 ) -> Optional[SignedMinorModel]:
     """Exhaustive search for a model of (H, sigma_h) inside (G, E(G))."""
-    if G.n > limit:
-        raise SizeLimitError(f"graph has {G.n} > {limit} vertices")
+    lim = default_limit(DEFAULT_SIGNED_MINOR_LIMIT) if limit is None else limit
+    if G.n > lim:
+        raise SizeLimitError(f"graph has {G.n} > {lim} vertices")
     sigma = _edge_set(sigma_h)
     for e in sigma:
         if not H.has_edge(*e):

@@ -7,8 +7,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .graph import Graph, Path, SizeLimitError, TwoColoring, bipartition, _norm_edge
-from .oddminor import default_limit
+from .graph import (
+    Graph, Path, SizeLimitError, TwoColoring, bipartition, default_limit, _norm_edge,
+)
 
 Edge = tuple[int, int]
 

@@ -111,6 +111,17 @@ def test_color_success_and_odd_minor(runner, tmp_path):
     assert parse_certificate(res.output.strip()).kind == "odd-minor-model"
 
 
+def test_color_out_file_verifies(runner, tmp_path):
+    k44 = write_graph(tmp_path, complete_bipartite(4, 4))
+    cert = str(tmp_path / "k44.cert")
+    res = runner.invoke(main, ["color", k44, "--t", "3", "--out", cert])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["bound_palette"] == 9
+    res = runner.invoke(main, ["verify", k44, cert])
+    assert res.exit_code == 0
+    assert res.output.strip() == "true ok"
+
+
 def test_color_is_deterministic(runner, tmp_path):
     k33 = write_graph(tmp_path, complete_bipartite(3, 3))
     a = runner.invoke(main, ["color", k33, "--t", "3"])

@@ -20,11 +20,14 @@ from oddminorkit import (
     color_defective,
     complete_bipartite,
     cycle,
+    find_odd_clique_minor,
     precolor_extend,
     random_graph,
     verify_coloring,
     verify_odd_minor_model,
 )
+from oddminorkit import oddminor
+from oddminorkit.graph import bipartition
 from oddminorkit.coloring import (
     _achieved_cluster,
     _achieved_defect,
@@ -136,13 +139,16 @@ def test_clustered_palette_and_verification():
 
 
 def test_odd_cycle_surfaces_certificate():
-    C5 = cycle(5)
-    with pytest.raises(OddMinorFoundError) as exc:
-        color_defective(C5, 3)
-    ok, reason = verify_odd_minor_model(C5, Kt(3), exc.value.model)
-    assert ok, reason
-    with pytest.raises(OddMinorFoundError):
-        color_clustered(C5, 3)
+    # non-bipartite hosts still reach the exhaustive search at t = 3, and a
+    # bipartite one does at t = 2, where any edge is an odd K_2
+    seeded = next(G for G in (random_graph(9, 0.4, s) for s in range(100))
+                  if bipartition(G) is None)
+    for G, t in ((cycle(5), 3), (seeded, 3), (cycle(4), 2)):
+        for color in (color_defective, color_clustered):
+            with pytest.raises(OddMinorFoundError) as exc:
+                color(G, t)
+            ok, reason = verify_odd_minor_model(G, Kt(t), exc.value.model)
+            assert ok, reason
 
 
 def test_precheck_flag_controls_upfront_detection():
@@ -153,6 +159,45 @@ def test_precheck_flag_controls_upfront_detection():
     # the recursion falls through to the base colorer and still succeeds
     c, _ = color_defective(C5, 3, precheck=False)
     assert c.palette_size == 9
+
+
+def random_bipartite_host(seed):
+    """A seeded bipartite graph on at most 10 vertices, sides interleaved."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 10)
+    side = [rng.randint(0, 1) for _ in range(n)]
+    p = rng.choice((0.3, 0.5, 0.8))
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if side[u] != side[v] and rng.random() < p])
+
+
+BIPARTITE_HOSTS = [complete_bipartite(3, 3), complete_bipartite(4, 5), cycle(8)] + [
+    random_bipartite_host(seed) for seed in range(3)
+]
+
+
+@pytest.mark.parametrize("precheck", [None, True])
+def test_bipartite_hosts_skip_the_exhaustive_precheck(monkeypatch, precheck):
+    def search(G, t, limit=None):
+        raise AssertionError("exhaustive odd-clique search on a bipartite host")
+
+    monkeypatch.setattr(oddminor, "find_odd_clique_minor", search)
+    for t in (3, 4):
+        for G in BIPARTITE_HOSTS:
+            c, defect = color_defective(G, t, precheck=precheck)
+            assert verify_coloring(G, c, BoundedDegree(max(defect, 4 * t - 8)))
+            c, cluster = color_clustered(G, t, precheck=precheck)
+            assert verify_coloring(G, c, BoundedComponent(max(cluster, 4 * t - 7)))
+
+
+def test_bipartite_shortcut_matches_the_exhaustive_oracle():
+    for seed in range(30):
+        G = random_bipartite_host(seed)
+        assert bipartition(G) is not None
+        for t in (3, 4):
+            assert find_odd_clique_minor(G, t) is None
+            for color in (color_defective, color_clustered):
+                assert color(G, t) == color(G, t, precheck=False)
 
 
 def test_trace_reports_recursion_cases():

@@ -12,6 +12,7 @@ from oddminorkit import (
     Path,
     TwoColoring,
     find_odd_clique_minor,
+    find_signed_minor,
     has_clique_minor,
     is_parity_breaking,
     verify_odd_minor_model,
@@ -157,6 +158,17 @@ def test_size_guard_env_override(monkeypatch):
     monkeypatch.setenv("ODDMINOR_LIMIT", "15")
     G = Graph(15, [])
     assert find_odd_clique_minor(G, 2) is None
+
+
+def test_env_guard_covers_both_minor_searches(monkeypatch):
+    monkeypatch.setenv("ODDMINOR_LIMIT", "8")
+    G = Graph(9, [])
+    with pytest.raises(SizeLimitError):
+        find_odd_clique_minor(G, 2)
+    with pytest.raises(SizeLimitError):
+        find_signed_minor(G, Kt(2), [(0, 1)])
+    assert find_odd_clique_minor(G, 2, limit=9) is None
+    assert find_signed_minor(G, Kt(2), [(0, 1)], limit=9) is None
 
 
 # ---------------------------------------------------------------------------
