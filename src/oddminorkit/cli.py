@@ -142,6 +142,18 @@ def gen(family: str, params: tuple[str, ...], seed: int, fmt: str, out: Optional
 # ---------------------------------------------------------------------------
 
 
+def _kt_signature(text: str, t: int) -> list[tuple[int, int]]:
+    """Parse --sigma, a JSON list of edges of K_t, without building K_t."""
+    sig = json.loads(text)
+    if not isinstance(sig, list):
+        raise ValueError("--sigma must be a JSON list of edges")
+    for e in sig:
+        if not (isinstance(e, list) and len(e) == 2 and e[0] != e[1]
+                and all(isinstance(v, int) and 0 <= v < t for v in e)):
+            raise ValueError(f"signature edge {e} not in K_{t}")
+    return [tuple(e) for e in sig]
+
+
 @main.command()
 @click.argument("graph", type=str)
 @click.option("--format", "fmt", type=_FORMATS, default="graph6", show_default=True)
@@ -179,8 +191,12 @@ def detect(graph: str, fmt: str, mode: str, t: int, s: Optional[int],
                 return
             cert = certs.certify_subdivision(G, emb)
         else:
+            sig = _kt_signature(sigma, t)
+            # K_t has ~t^2/2 edges: answer before building a pattern G cannot hold
+            if t > G.n:
+                _write("absent", out)
+                return
             Kt = Graph(t, [(i, j) for i in range(t) for j in range(i + 1, t)])
-            sig = [tuple(e) for e in json.loads(sigma)]
             model = find_signed_minor(G, Kt, sig, limit=limit)
             if model is None:
                 _write("absent", out)

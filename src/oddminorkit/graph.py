@@ -95,7 +95,8 @@ class Graph:
         return self._adj_mask[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= v < self.n and self._adj_mask[u] >> v & 1 == 1
+        n = self.n
+        return 0 <= u < n and 0 <= v < n and self._adj_mask[u] >> v & 1 == 1
 
     def __eq__(self, other) -> bool:
         return (

@@ -1,4 +1,6 @@
-"""Odd-minor models, parity-breaking paths, and an exhaustive odd-clique detector."""
+"""Odd-minor models, parity-breaking paths, and the odd-clique detector: an
+odd K_t minor of G is a (K_t, E(K_t)) minor of the signed graph (G, E(G)),
+found by the signed-minor search."""
 
 from __future__ import annotations
 
@@ -8,13 +10,7 @@ from typing import Optional, Union
 from .graph import (
     Graph, Path, SizeLimitError, TwoColoring, bipartition, default_limit, _norm_edge,
 )
-from .signed import (
-    _bits,
-    _connected_subsets,
-    _mono_edge,
-    _spanning_tree_of_disagreement,
-    _valid_colorings,
-)
+from .signed import _has_clique_minor, find_signed_minor
 
 Edge = tuple[int, int]
 Connector = Union[Edge, Path]
@@ -151,37 +147,7 @@ def verify_odd_minor_model(
 
 def has_clique_minor(G: Graph, t: int) -> bool:
     """Unsigned K_t minor test by exhaustive connected-partition search."""
-    if t <= 0:
-        return True
-    if G.n < t:
-        return False
-    if t == 1:
-        return True
-    conn = _connected_subsets(G)
-    nbr = {}
-    for m in conn:
-        r = 0
-        for v in _bits(m):
-            r |= G.adj_mask(v)
-        nbr[m] = r & ~m
-
-    parts: list[int] = []
-
-    def rec(used: int, lowbound: int) -> bool:
-        if len(parts) == t:
-            return True
-        for m in conn:
-            if m & used or (m & -m) < lowbound:
-                continue
-            if any(nbr[m] & p == 0 for p in parts):
-                continue
-            parts.append(m)
-            if rec(used | m, m & -m):
-                return True
-            parts.pop()
-        return False
-
-    return rec(0, 0)
+    return _has_clique_minor(G, t)
 
 
 def find_odd_clique_minor(
@@ -189,10 +155,11 @@ def find_odd_clique_minor(
 ) -> Optional[OddMinorModel]:
     """Exhaustive search for an odd K_t minor model (edge-form connectors).
 
-    Branch sets are enumerated in order of increasing minimum vertex and by
-    increasing total size, so the first hit is a smallest witness. A cheap
-    unsigned clique-minor test runs first: its absence already rules out the
-    odd variant.
+    This is `find_signed_minor` for (K_t, all edges negative): an unsigned
+    K_t minor test runs first, branch sets are taken in increasing minimum
+    vertex and by increasing total size, so the first hit is a smallest
+    witness. alpha is the union of the tree colorings and the connectors
+    are the edge witnesses.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -201,73 +168,14 @@ def find_odd_clique_minor(
         raise SizeLimitError(f"graph has {G.n} > {lim} vertices")
     if G.n < t:
         return None
-    if t == 1:
-        return OddMinorModel({0: (0,)}, {0: ()}, TwoColoring({0: 1}), {})
-    if not has_clique_minor(G, t):
+    Kt = Graph(t, [(i, j) for i in range(t) for j in range(i + 1, t)])
+    signed = find_signed_minor(G, Kt, Kt.edges(), limit=lim)
+    if signed is None:
         return None
-
-    conn = _connected_subsets(G)
-    colorings: dict[int, list[int]] = {}
-
-    def colorings_of(mask: int) -> list[int]:
-        if mask not in colorings:
-            colorings[mask] = _valid_colorings(G, mask)
-        return colorings[mask]
-
-    choice: list[tuple[int, int]] = []
-
-    def rec(used: int, lowbound: int, budget: int) -> bool:
-        if len(choice) == t:
-            return True
-        remaining = t - len(choice)
-        for mask in conn:
-            k = bin(mask).count("1")
-            if k > budget - (remaining - 1):
-                break  # conn is sorted by size; all later masks too big
-            if mask & used or (mask & -mask) < lowbound:
-                continue
-            for c0 in colorings_of(mask):
-                # flipping every tree at once is a symmetry, so the first
-                # tree's coloring can be pinned; all others need both forms
-                forms = (c0,) if not choice else (c0, mask & ~c0)
-                for c in forms:
-                    if all(
-                        _mono_edge(G, mj, cj, mask, c) is not None
-                        for mj, cj in choice
-                    ):
-                        choice.append((mask, c))
-                        if rec(used | mask, mask & -mask, budget - k):
-                            return True
-                        choice.pop()
-        return False
-
-    found = False
-    for budget in range(t, G.n + 1):
-        if rec(0, 0, budget):
-            found = True
-            break
-    if not found:
-        return None
-
-    trees = {}
-    tree_edges = {}
-    color: dict[int, int] = {}
-    for u in range(t):
-        mask, c = choice[u]
-        vs = _bits(mask)
-        trees[u] = tuple(vs)
-        tree_edges[u] = tuple(_spanning_tree_of_disagreement(G, mask, c))
-        for v in vs:
-            color[v] = 2 if (c >> v) & 1 else 1
-    connectors: dict[Edge, Connector] = {}
-    for u in range(t):
-        for v in range(u + 1, t):
-            e = _mono_edge(G, choice[u][0], choice[u][1], choice[v][0], choice[v][1])
-            assert e is not None
-            connectors[(u, v)] = e
-    model = OddMinorModel(trees, tree_edges, TwoColoring(color), connectors)
-    H = Graph(t, [(i, j) for i in range(t) for j in range(i + 1, t)])
-    ok, reason = verify_odd_minor_model(G, H, model)
+    alpha = TwoColoring(
+        {v: c for col in signed.tree_colorings.values() for v, c in col.items()})
+    model = OddMinorModel(signed.trees, signed.tree_edges, alpha, signed.edge_witness)
+    ok, reason = verify_odd_minor_model(G, Kt, model)
     assert ok, reason
     return model
 

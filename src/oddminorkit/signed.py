@@ -9,8 +9,6 @@ from .graph import Graph, Path, SizeLimitError, default_limit, _norm_edge
 
 Edge = tuple[int, int]
 
-DEFAULT_SIGNED_MINOR_LIMIT = 14
-
 
 def _edge_set(edges: Iterable[Edge]) -> frozenset[Edge]:
     return frozenset(_norm_edge(u, v) for u, v in edges)
@@ -247,21 +245,11 @@ def _valid_colorings(G: Graph, mask: int) -> list[int]:
 
 
 def _mono_edge(G: Graph, m1: int, c1: int, m2: int, c2: int) -> Optional[Edge]:
-    """A G-edge between the two colored subsets whose ends get equal colors."""
+    """A G-edge between the two colored subsets whose ends get equal colors;
+    with c2 complemented, one whose ends get different colors."""
     ones1, zeros1 = m1 & c1, m1 & ~c1
     ones2, zeros2 = m2 & c2, m2 & ~c2
     for (a_side, b_side) in ((ones1, ones2), (zeros1, zeros2)):
-        for v in _bits(a_side):
-            hit = G.adj_mask(v) & b_side
-            if hit:
-                return _norm_edge(v, (hit & -hit).bit_length() - 1)
-    return None
-
-
-def _bichromatic_edge(G: Graph, m1: int, c1: int, m2: int, c2: int) -> Optional[Edge]:
-    ones1, zeros1 = m1 & c1, m1 & ~c1
-    ones2, zeros2 = m2 & c2, m2 & ~c2
-    for (a_side, b_side) in ((ones1, zeros2), (zeros1, ones2)):
         for v in _bits(a_side):
             hit = G.adj_mask(v) & b_side
             if hit:
@@ -289,14 +277,61 @@ def _spanning_tree_of_disagreement(G: Graph, mask: int, c: int) -> list[Edge]:
     return edges
 
 
+def _has_clique_minor(G: Graph, t: int, conn: Optional[list[int]] = None) -> bool:
+    """Unsigned K_t minor test: t disjoint, pairwise adjacent connected
+    subsets, taken in increasing minimum vertex. conn, when given, is
+    _connected_subsets(G)."""
+    if t <= 0:
+        return True
+    if G.n < t:
+        return False
+    if conn is None:
+        conn = _connected_subsets(G)
+    nbr = {}
+    for m in conn:
+        r = 0
+        for v in _bits(m):
+            r |= G.adj_mask(v)
+        nbr[m] = r & ~m
+
+    parts: list[int] = []
+
+    def rec(used: int, lowbound: int) -> bool:
+        if len(parts) == t:
+            return True
+        for m in conn:
+            if m & used or (m & -m) < lowbound:
+                continue
+            if any(nbr[m] & p == 0 for p in parts):
+                continue
+            parts.append(m)
+            if rec(used | m, m & -m):
+                return True
+            parts.pop()
+        return False
+
+    return rec(0, 0)
+
+
 def find_signed_minor(
     G: Graph,
     H: Graph,
     sigma_h: Iterable[Edge],
     limit: Optional[int] = None,
 ) -> Optional[SignedMinorModel]:
-    """Exhaustive search for a model of (H, sigma_h) inside (G, E(G))."""
-    lim = default_limit(DEFAULT_SIGNED_MINOR_LIMIT) if limit is None else limit
+    """Exhaustive search for a model of (H, sigma_h) inside (G, E(G)).
+
+    Pattern vertex i gets a connected vertex subset of G with a 2-coloring
+    proper on a spanning tree of it; each pattern edge ji needs a G-edge
+    between the two subsets whose ends get equal colors if ji is negative
+    and different colors if it is positive. Branch sets are tried by
+    increasing total size, so the first hit is a smallest model. When H is
+    complete, the unsigned K_h minor test runs first on the same subsets and
+    its "no" is final; when moreover sigma_h is empty or E(H), every
+    reordering of a model's branch sets is a model, so they are taken in
+    increasing minimum vertex. An odd K_t minor is the case (K_t, E(K_t)).
+    """
+    lim = default_limit() if limit is None else limit
     if G.n > lim:
         raise SizeLimitError(f"graph has {G.n} > {lim} vertices")
     sigma = _edge_set(sigma_h)
@@ -309,64 +344,59 @@ def find_signed_minor(
     if G.n < h:
         return None
     conn = _connected_subsets(G)
-    hedges = [tuple(e) for e in H.edges()]
+    complete = H.m == h * (h - 1) // 2
+    if complete and not _has_clique_minor(G, h, conn):
+        return None
+    symmetric = complete and len(sigma) in (0, H.m)
+    # links[i]: (j, negative) for each pattern edge ji with j < i
+    links = [[(j, (j, i) in sigma) for j in range(i) if H.has_edge(j, i)]
+             for i in range(h)]
+    colorings: dict[int, list[int]] = {}
 
     # choice[i] = (mask, colormask); assign H vertices 0..h-1 in order
     choice: list[tuple[int, int]] = []
 
-    def compatible(i: int, mask: int, c: int) -> bool:
-        for j in range(i):
-            mj, cj = choice[j]
-            e = _norm_edge(j, i)
-            if e in set(hedges):
-                if e in sigma:
-                    if _mono_edge(G, mj, cj, mask, c) is None:
-                        return False
-                else:
-                    if _bichromatic_edge(G, mj, cj, mask, c) is None:
-                        return False
-        return True
-
-    def rec(i: int, used: int) -> bool:
+    def rec(used: int, lowbound: int, budget: int) -> bool:
+        i = len(choice)
         if i == h:
             return True
         for mask in conn:
-            if mask & used:
+            k = mask.bit_count()
+            if k > budget - (h - i - 1):
+                break  # conn is sorted by size; all later masks too big
+            if mask & used or (mask & -mask) < lowbound:
                 continue
-            for c0 in _valid_colorings(G, mask):
+            if mask not in colorings:
+                colorings[mask] = _valid_colorings(G, mask)
+            for c0 in colorings[mask]:
                 # flipping every tree at once is a symmetry, so the first
                 # tree's coloring can be pinned; all others need both forms
                 forms = (c0,) if i == 0 else (c0, mask & ~c0)
                 for c in forms:
-                    if compatible(i, mask, c):
+                    if all(_mono_edge(G, *choice[j], mask, c if neg else mask & ~c)
+                           is not None for j, neg in links[i]):
                         choice.append((mask, c))
-                        if rec(i + 1, used | mask):
+                        if rec(used | mask, mask & -mask if symmetric else 0,
+                               budget - k):
                             return True
                         choice.pop()
         return False
 
-    if not rec(0, 0):
+    if not any(rec(0, 0, budget) for budget in range(h, G.n + 1)):
         return None
 
     trees = {}
     tree_edges = {}
     tree_colorings = {}
-    for u in range(h):
-        mask, c = choice[u]
+    for u, (mask, c) in enumerate(choice):
         vs = _bits(mask)
         trees[u] = tuple(vs)
         tree_edges[u] = tuple(_spanning_tree_of_disagreement(G, mask, c))
         tree_colorings[u] = {v: 2 if (c >> v) & 1 else 1 for v in vs}
-    witness = {}
-    for (u, v) in _edge_set(hedges):
-        mu, cu = choice[u]
-        mv, cv = choice[v]
-        if (u, v) in sigma:
-            e = _mono_edge(G, mu, cu, mv, cv)
-        else:
-            e = _bichromatic_edge(G, mu, cu, mv, cv)
-        assert e is not None
-        witness[(u, v)] = e
+    witness = {
+        (j, i): _mono_edge(G, *choice[j], mask, c if neg else mask & ~c)
+        for i, (mask, c) in enumerate(choice) for j, neg in links[i]
+    }
     model = SignedMinorModel(trees, tree_edges, tree_colorings, witness)
     ok, reason = verify_signed_minor_model(G, H, sigma, model)
     assert ok, reason

@@ -108,3 +108,65 @@ def first_small_separation(G: Graph, Z, max_order: int):
                 A = frozenset(good[0]) | frozenset(cut)
                 return A, frozenset(G.vertices()) - frozenset(good[0])
     return None
+
+
+def smallest_signed_minor_size(G: Graph, H: Graph, sigma):
+    """Least total branch-set size of a model of (H, sigma) in (G, E(G)),
+    or None, by brute force over every labelling of V(G) with pattern
+    vertices (or none).
+
+    A model gives each pattern vertex a connected vertex set B_i with a
+    2-coloring whose bichromatic edges connect B_i, and each pattern edge ij
+    a G-edge between B_i and B_j whose ends get equal colors iff ij is in
+    sigma.  Every coloring of every branch set is tried; connectivity is
+    checked with networkx.
+    """
+    nx_G = nxg(G)
+    negative = {tuple(sorted(e)) for e in sigma}
+    hedges = [tuple(sorted(e)) for e in H.edges()]
+    spanning: dict[frozenset, list[dict]] = {}
+
+    def colorings(B: frozenset) -> list[dict]:
+        """Colorings of B whose bichromatic edges form a connected graph."""
+        if B not in spanning:
+            vs = sorted(B)
+            spanning[B] = []
+            for bits in itertools.product((1, 2), repeat=len(vs)):
+                col = dict(zip(vs, bits))
+                D = nx.Graph()
+                D.add_nodes_from(vs)
+                D.add_edges_from((a, b) for a, b in nx_G.subgraph(vs).edges()
+                                 if col[a] != col[b])
+                if nx.is_connected(D):
+                    spanning[B].append(col)
+        return spanning[B]
+
+    connected: dict[frozenset, bool] = {}
+
+    def is_model(sets: list[frozenset]) -> bool:
+        if any(not B for B in sets):
+            return False
+        between = {(i, j): [(a, b) for a in sets[i] for b in sets[j]
+                            if nx_G.has_edge(a, b)] for i, j in hedges}
+        if any(not es for es in between.values()):
+            return False
+        for B in sets:
+            if B not in connected:
+                connected[B] = nx.is_connected(nx_G.subgraph(B))
+            if not connected[B]:
+                return False
+        for cols in itertools.product(*(colorings(B) for B in sets)):
+            if all(any((cols[i][a] == cols[j][b]) == ((i, j) in negative)
+                       for a, b in between[(i, j)]) for i, j in hedges):
+                return True
+        return False
+
+    best = None
+    for labels in itertools.product(range(-1, H.n), repeat=G.n):
+        size = G.n - labels.count(-1)
+        if best is not None and size >= best:
+            continue
+        sets = [frozenset(v for v, x in enumerate(labels) if x == i) for i in range(H.n)]
+        if is_model(sets):
+            best = size
+    return best

@@ -69,6 +69,26 @@ def test_detect_signed_mode(runner, tmp_path):
     assert parse_certificate(res.output.strip()).kind == "signed-minor-model"
 
 
+def test_detect_signed_mode_checks_sizes_before_building_k_t(
+        runner, tmp_path, monkeypatch):
+    from oddminorkit import cli
+
+    real = cli.Graph
+
+    def graph_no_larger_than_c5(n, edges=()):
+        assert n <= 5, f"built a {n}-vertex pattern for a 5-vertex graph"
+        return real(n, edges)
+
+    monkeypatch.setattr(cli, "Graph", graph_no_larger_than_c5)
+    c5 = write_graph(tmp_path, cycle(5))
+    args = ["detect", c5, "--mode", "signed", "--t", "200", "--sigma"]
+    res = runner.invoke(main, args + ["[[0, 199]]"])
+    assert res.exit_code == 0 and res.output.strip() == "absent"
+    for bad in ("[[0, 200]]", "[[-1, 3]]", "[[4, 4]]", "[[0, 1, 2]]", "[1]", "{}"):
+        res = runner.invoke(main, args + [bad])
+        assert res.exit_code == 4, bad
+
+
 def test_detect_subdivision_mode(runner, tmp_path):
     k33 = write_graph(tmp_path, complete_bipartite(3, 3))
     res = runner.invoke(main, ["detect", k33, "--mode", "subdivision",

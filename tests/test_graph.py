@@ -43,6 +43,15 @@ def test_basic_accessors():
     assert sorted(G.edges()) == [(0, 1), (1, 2), (2, 3)]
 
 
+def test_has_edge_range_checks_both_ends():
+    G = Graph(3, [(1, 2)])
+    # -1 must not alias vertex 2, and 3 must not raise
+    assert not G.has_edge(-1, 1) and not G.has_edge(1, -1)
+    assert not G.has_edge(3, 0) and not G.has_edge(0, 3)
+    assert not Path((-1, 1)).is_path_of(G)
+    assert Path((1, 2)).is_path_of(G)
+
+
 def test_rejects_bad_edges():
     with pytest.raises(GraphError):
         Graph(3, [(0, 3)])

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from oddminorkit import (
     Graph,
@@ -17,6 +17,8 @@ from oddminorkit import (
     signatures_equivalent,
     verify_signed_minor_model,
 )
+
+import oracles
 
 K3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
 
@@ -184,3 +186,45 @@ def test_verifier_rejects_tampering():
     )
     ok, reason = verify_signed_minor_model(K6, K3, [], overlapping)
     assert not ok and reason == "overlapping-trees"
+
+
+PATTERNS = {
+    "K2": Graph(2, [(0, 1)]),
+    "P3": Graph(3, [(0, 1), (1, 2)]),
+    "K3": K3,
+    "C4": Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    "K4": Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)]),
+}
+
+
+@st.composite
+def signed_minor_instances(draw):
+    n = draw(st.integers(1, 6))
+    pairs = list(itertools.combinations(range(n), 2))
+    G = Graph(n, [e for e in pairs if draw(st.booleans())])
+    name = draw(st.sampled_from(sorted(PATTERNS)))
+    sigma = [e for e in PATTERNS[name].edges() if draw(st.booleans())]
+    return G, name, sigma
+
+
+# Pinned: the unsigned K_h pretest must not run for a non-complete H (P_3 in
+# a path), branch sets of a mixed-sign clique may not be taken in increasing
+# minimum vertex, and a model found outside the budget order is not smallest.
+@example((Graph(3, [(0, 2), (1, 2)]), "P3", []))
+@example((Graph(5, [(0, 1), (0, 2), (0, 4), (1, 3), (1, 4), (2, 3), (3, 4)]),
+          "K4", [(0, 3), (1, 3)]))
+@example((Graph(6, [(0, 4), (0, 5), (2, 3), (2, 5), (3, 4), (3, 5)]), "K3", [(0, 1)]))
+@given(signed_minor_instances())
+def test_signed_minor_search_matches_brute_force_oracle(instance):
+    G, name, sigma = instance
+    H = PATTERNS[name]
+    model = find_signed_minor(G, H, sigma)
+    want = oracles.smallest_signed_minor_size(G, H, sigma)
+    if want is None:
+        assert model is None
+    else:
+        assert model is not None
+        ok, reason = verify_signed_minor_model(G, H, sigma, model)
+        assert ok, reason
+        # branch sets come by increasing total size: a smallest model
+        assert sum(len(vs) for vs in model.trees.values()) == want
