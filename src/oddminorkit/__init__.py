@@ -3,6 +3,7 @@ path dichotomies, the apex + bipartite-block structure decomposition, and
 bounded-palette defective/clustered coloring."""
 
 from .graph import (
+    MAX_VERTICES,
     Graph,
     GraphError,
     Path,
@@ -11,7 +12,6 @@ from .graph import (
     TwoColoring,
     bipartition,
     blocks,
-    disjoint_paths,
     find_odd_cycle,
     find_small_separation,
     parse_graph,
@@ -39,10 +39,8 @@ from .oddminor import (
 )
 from .subdivision import (
     SubdivisionEmbedding,
-    contains_Kst_star,
     find_bipartite_join_subdivision,
     join_pattern_edges,
-    kst_star_pattern,
     restrict_subdivision,
     verify_subdivision,
 )
@@ -63,7 +61,6 @@ from .coloring import (
     BoundedComponent,
     BoundedDegree,
     ColoringAssignment,
-    MaxOf,
     OddMinorFoundError,
     PrecoloringInstance,
     bound_M,

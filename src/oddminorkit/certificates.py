@@ -83,7 +83,7 @@ def parse_certificate(text: str) -> Certificate:
     """Strict parse: schema version pinned, unknown fields rejected."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also over-long ints, deep nesting
         raise CertificateError(f"not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise CertificateError("top level must be an object")

@@ -28,6 +28,7 @@ from .generators import (
     random_graph,
 )
 from .graph import (
+    MAX_VERTICES,
     Graph,
     GraphError,
     SizeLimitError,
@@ -92,6 +93,24 @@ def main() -> None:
 # ---------------------------------------------------------------------------
 
 
+def _gen_vertex_count(family: str, params: tuple[str, ...]) -> int:
+    """The most vertices `gen FAMILY PARAMS` can build, from PARAMS alone."""
+    if family in ("complete", "cycle", "random"):
+        return int(params[0])
+    if family == "complete_bipartite":
+        return int(params[0]) + int(params[1])
+    if family not in ("join_subdivision", "chorded_subdivision"):
+        raise ValueError(f"unknown family {family!r}")
+    # negative sizes are the generator's error to report, not a huge count
+    s, t = max(int(params[0]), 0), max(int(params[1]), 0)
+    pattern_edges = s * (s - 1) // 2 + s * t
+    if family == "join_subdivision":
+        count = int(params[2]) if len(params) > 2 else 1
+        return s + t + pattern_edges * max(count, 0)
+    # each pattern edge gets 1 or 3 subdivision vertices, each chord 0 or 2
+    return s + t + 3 * pattern_edges + 2 * int(params[2])
+
+
 @main.command()
 @click.argument("family")
 @click.argument("params", nargs=-1)
@@ -107,6 +126,10 @@ def gen(family: str, params: tuple[str, ...], seed: int, fmt: str, out: Optional
     """
     cert = None
     try:
+        n = _gen_vertex_count(family, params)
+        if n > MAX_VERTICES:
+            raise ValueError(f"{family} would have up to {n} vertices, "
+                             f"more than the limit of {MAX_VERTICES}")
         if family == "complete":
             G = complete(int(params[0]))
         elif family == "complete_bipartite":
@@ -123,11 +146,10 @@ def gen(family: str, params: tuple[str, ...], seed: int, fmt: str, out: Optional
             G, emb, _ = chorded_subdivision(int(params[0]), int(params[1]),
                                             int(params[2]), seed)
             cert = certs.certify_subdivision(G, emb)
-        else:
-            raise ValueError(f"unknown family {family!r}")
+        text = _emit_graph(G, fmt)
     except (ValueError, IndexError) as e:
         sys.exit(_fail(str(e)))
-    _write(_emit_graph(G, fmt), out)
+    _write(text, out)
     if cert is not None:
         text = certs.serialize_certificate(cert)
         if out:

@@ -65,25 +65,7 @@ class BoundedComponent:
         return self.M >= k
 
 
-@dataclass(frozen=True)
-class MaxOf:
-    """Accepts a graph when each component is accepted by some member;
-    componentwise acceptance keeps the class closed under disjoint union."""
-
-    members: tuple
-
-    def accepts(self, G: Graph) -> bool:
-        for comp in G.components():
-            sub, _ = G.induced(comp)
-            if not any(m.accepts(sub) for m in self.members):
-                return False
-        return True
-
-    def contains_all_small(self, k: int) -> bool:
-        return any(m.contains_all_small(k) for m in self.members)
-
-
-FamilyClass = Union[BoundedDegree, BoundedComponent, MaxOf]
+FamilyClass = Union[BoundedDegree, BoundedComponent]
 
 
 def verify_coloring(G: Graph, c: ColoringAssignment, family) -> bool:

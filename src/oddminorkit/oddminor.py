@@ -70,9 +70,6 @@ class OddMinorModel:
     alpha: TwoColoring
     connectors: dict[Edge, Connector]
 
-    def branch_set(self, u: int) -> frozenset[int]:
-        return frozenset(self.trees[u])
-
 
 def _connector_path(c: Connector) -> Optional[Path]:
     return c if isinstance(c, Path) else None

@@ -147,11 +147,8 @@ def verify_signed_minor_model(
         for a, b in te:
             if a not in vset or b not in vset or not G.has_edge(a, b):
                 return False, "tree-edge-invalid"
-        if len(vs) > 1:
-            tg = Graph(G.n, te)
-            comp = {v for v in vs}
-            if not tg.subgraph_on(comp).is_connected_subset(vs):
-                return False, "tree-not-connected"
+        if len(vs) > 1 and not Graph(G.n, te).is_connected_subset(vs):
+            return False, "tree-not-connected"
         c = model.tree_colorings[u]
         if set(c) != vset or any(c[v] not in (1, 2) for v in vs):
             return False, "coloring-domain"

@@ -1,5 +1,4 @@
-"""Subdivisions of K_s + I_t: detection, verification, restriction, and the
-once-subdivided-clique subgraph test."""
+"""Subdivisions of K_s + I_t: detection, verification and restriction."""
 
 from __future__ import annotations
 
@@ -44,9 +43,6 @@ class SubdivisionEmbedding:
     def clique_branch(self) -> frozenset[int]:
         return frozenset(self.branch[i] for i in range(self.s))
 
-    def stable_branch(self) -> frozenset[int]:
-        return frozenset(self.branch[self.s + j] for j in range(self.t))
-
     def union_vertices(self) -> frozenset[int]:
         out = set(self.branch.values())
         for p in self.linking.values():
@@ -81,7 +77,8 @@ def verify_subdivision(
     s, t = emb.s, emb.t
     if s < 0 or t < 0:
         return False, "bad-pattern"
-    if set(emb.branch) != set(range(s + t)):
+    # the length check first: a hostile s + t must not size a set
+    if len(emb.branch) != s + t or set(emb.branch) != set(range(s + t)):
         return False, "branch-domain"
     imgs = list(emb.branch.values())
     if len(set(imgs)) != len(imgs):
@@ -260,43 +257,6 @@ def restrict_subdivision(
         if u in relabel and v in relabel:
             linking[_norm_edge(relabel[u], relabel[v])] = p
     return SubdivisionEmbedding(len(new_clique), len(new_stable), branch, linking)
-
-
-def kst_star_pattern(s: int, t: int) -> Graph:
-    """K_s + I_t with every edge inside the clique subdivided once."""
-    n = s + t + s * (s - 1) // 2
-    edges: list[Edge] = []
-    nxt = s + t
-    for i in range(s):
-        for j in range(i + 1, s):
-            edges += [(i, nxt), (j, nxt)]
-            nxt += 1
-    edges += [(i, s + j) for i in range(s) for j in range(t)]
-    return Graph(n, edges)
-
-
-def contains_Kst_star(
-    G: Graph, s: int, t: int, limit: Optional[int] = None
-) -> bool:
-    """Subgraph test for the once-subdivided join pattern."""
-    if s < 1 or t < 0:
-        raise ValueError("need s >= 1 and t >= 0")
-    lim = default_limit(DEFAULT_SUBDIVISION_LIMIT) if limit is None else limit
-    if G.n > lim:
-        raise SizeLimitError(f"graph has {G.n} > {lim} vertices")
-    pat = kst_star_pattern(s, t)
-    if G.n < pat.n or G.m < pat.m:
-        return False
-    import networkx as nx  # its only runtime use; importing it costs ~0.1 s
-
-    host = nx.Graph()
-    host.add_nodes_from(G.vertices())
-    host.add_edges_from(G.edges())
-    small = nx.Graph()
-    small.add_nodes_from(pat.vertices())
-    small.add_edges_from(pat.edges())
-    gm = nx.algorithms.isomorphism.GraphMatcher(host, small)
-    return gm.subgraph_is_monomorphic()
 
 
 def relabel_embedding(emb: SubdivisionEmbedding, old_ids) -> SubdivisionEmbedding:

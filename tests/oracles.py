@@ -71,27 +71,15 @@ def blocks_nx(G: Graph) -> set[frozenset]:
     return out
 
 
-def vertex_connectivity_between(G: Graph, A, B) -> int:
-    """Maximum number of A-B paths disjoint outside A and B (Menger), brute
-    via networkx max-flow on a split-vertex digraph."""
-    As, Bs = set(A), set(B)
-    shared = As & Bs
-    D = nx.DiGraph()
-    inf = G.n + 10
-    for v in G.vertices():
-        D.add_edge(("in", v), ("out", v),
-                   capacity=inf if v in As | Bs else 1)
-    for u, v in G.edges():
-        D.add_edge(("out", u), ("in", v), capacity=1)
-        D.add_edge(("out", v), ("in", u), capacity=1)
-    D.add_node("s")
-    D.add_node("t")
-    for a in As - shared:
-        D.add_edge("s", ("in", a), capacity=inf)
-    for b in Bs - shared:
-        D.add_edge(("out", b), "t", capacity=inf)
-    flow = nx.maximum_flow_value(D, "s", "t") if (As - shared) and (Bs - shared) else 0
-    return flow + len(shared)
+def is_separation(G: Graph, A, B) -> bool:
+    """A and B cover V(G) and no edge joins A - B to B - A."""
+    if set(A) | set(B) != set(G.vertices()):
+        return False
+    only_a, only_b = set(A) - set(B), set(B) - set(A)
+    return not any(
+        (u in only_a and v in only_b) or (u in only_b and v in only_a)
+        for u, v in G.edges()
+    )
 
 
 def first_small_separation(G: Graph, Z, max_order: int):

@@ -1,6 +1,7 @@
 """JSON certificates: canonical serialization, strict parsing, verification."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -175,3 +176,24 @@ def test_minor_model_payloads_are_checked_before_use(kind, field, value, reason)
     doc["payload"][field] = value
     ok, got = verify_certificate(G, parse_certificate(json.dumps(doc)))
     assert not ok and got.split(":")[0] == reason
+
+
+def test_subdivision_sizes_are_checked_before_use():
+    Gs, emb = join_subdivision(2, 1, 1)
+    doc = json.loads(serialize_certificate(certify_subdivision(Gs, emb)))
+    doc["payload"]["s"] = 10**6
+    cert = parse_certificate(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        assert verify_certificate(Gs, cert) == (False, "branch-domain")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6, f"a hostile s allocated {peak} bytes"
+
+
+@pytest.mark.parametrize("text", ["9" * 5000, "[" * 5000],
+                         ids=["long-int", "deep-nesting"])
+def test_json_the_decoder_refuses_is_a_certificate_error(text):
+    with pytest.raises(CertificateError):
+        parse_certificate(text)

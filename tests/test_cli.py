@@ -47,6 +47,37 @@ def test_gen_rejects_bad_family(runner):
     assert res.exit_code == 4
 
 
+def test_gen_graph6_past_its_short_form_is_an_input_error(runner):
+    res = runner.invoke(main, ["gen", "cycle", "63"])
+    assert res.exit_code == 4, res.output
+    assert "n <= 62" in res.output
+    res = runner.invoke(main, ["gen", "cycle", "63", "--format", "dimacs"])
+    assert res.exit_code == 0
+    assert parse_graph(res.output.encode(), "dimacs") == cycle(63)
+
+
+@pytest.mark.parametrize("builder, params", [
+    ("complete", ["complete", "100000000"]),
+    ("complete_bipartite", ["complete_bipartite", "500", "501"]),
+    ("cycle", ["cycle", "1001"]),
+    ("random_graph", ["random", "1001", "0.5"]),
+    ("join_subdivision", ["join_subdivision", "40", "10"]),
+    ("join_subdivision", ["join_subdivision", "2", "1", "1000"]),
+    ("chorded_subdivision", ["chorded_subdivision", "20", "10", "1"]),
+])
+def test_gen_refuses_oversized_requests_before_building(
+        runner, monkeypatch, builder, params):
+    from oddminorkit import cli
+
+    def must_not_build(*args):
+        raise AssertionError(f"{builder} was called for {params}")
+
+    monkeypatch.setattr(cli, builder, must_not_build)
+    res = runner.invoke(main, ["gen", *params, "--format", "dimacs"])
+    assert res.exit_code == 4, res.output
+    assert "limit" in res.output
+
+
 def test_detect_certificate_and_exit_code(runner, tmp_path):
     c5 = write_graph(tmp_path, cycle(5))
     res = runner.invoke(main, ["detect", c5, "--t", "3"])

@@ -11,7 +11,6 @@ from oddminorkit import (
     BoundedDegree,
     ColoringAssignment,
     Graph,
-    MaxOf,
     OddMinorFoundError,
     PrecoloringInstance,
     bound_M,
@@ -54,17 +53,6 @@ def test_family_membership():
     assert BoundedDegree(3).contains_all_small(4)
     assert not BoundedDegree(2).contains_all_small(4)
     assert BoundedComponent(4).contains_all_small(4)
-
-
-def test_maxof_accepts_componentwise():
-    # one component is low-degree, the other just small: neither member
-    # accepts the whole graph, but the union passes componentwise
-    G = Graph(7, [(0, 1), (1, 2), (2, 3), (4, 5), (4, 6), (5, 6)])
-    fam = MaxOf((BoundedDegree(2), BoundedComponent(3)))
-    assert fam.accepts(G)
-    assert not BoundedDegree(1).accepts(G)
-    star = Graph(5, [(0, i) for i in range(1, 5)])
-    assert not MaxOf((BoundedDegree(2), BoundedComponent(3))).accepts(star)
 
 
 def test_verify_coloring():

@@ -1,4 +1,4 @@
-"""Bipartite join-subdivision detection, restriction, and the star pattern."""
+"""Bipartite join-subdivision detection and restriction."""
 
 import itertools
 import random
@@ -10,11 +10,9 @@ from hypothesis import given, strategies as st
 from oddminorkit import (
     Graph,
     complete_bipartite,
-    contains_Kst_star,
     find_bipartite_join_subdivision,
     join_pattern_edges,
     join_subdivision,
-    kst_star_pattern,
     restrict_subdivision,
     verify_subdivision,
 )
@@ -144,28 +142,8 @@ def test_restrict_with_empty_x_is_identity():
     assert red == emb
 
 
-def test_star_pattern_shape():
-    pat = kst_star_pattern(3, 2)
-    assert pat.n == 3 + 2 + 3
-    assert pat.m == 2 * 3 + 3 * 2
-    # every subdivision vertex sits on exactly one former clique edge
-    assert all(pat.degree(v) == 2 for v in range(5, 8))
-
-
-def test_contains_kst_star():
-    C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert contains_Kst_star(C4, 2, 1)
-    P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert not contains_Kst_star(P4, 2, 1)
-    pat = kst_star_pattern(4, 3)
-    assert contains_Kst_star(pat, 4, 3)
-    assert not contains_Kst_star(pat, 4, 4)
-
-
 def test_size_guard():
     G = Graph(31, [])
     with pytest.raises(SizeLimitError):
         find_bipartite_join_subdivision(G, 2, 1)
-    with pytest.raises(SizeLimitError):
-        contains_Kst_star(G, 2, 1)
     assert find_bipartite_join_subdivision(G, 2, 1, limit=31) is None
