@@ -58,11 +58,8 @@ from .structure import (
     structure_theorem,
 )
 from .coloring import (
-    BoundedComponent,
-    BoundedDegree,
     ColoringAssignment,
     OddMinorFoundError,
-    PrecoloringInstance,
     bound_M,
     bound_N,
     color_clustered,

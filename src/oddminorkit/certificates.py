@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .coloring import BoundedComponent, BoundedDegree, ColoringAssignment, verify_coloring
+from .coloring import ColoringAssignment, verify_coloring
 from .erdosposa import find_odd_s_path
 from .graph import Graph, Path, TwoColoring, bipartition, blocks, _norm_edge
 from .oddminor import OddMinorModel, verify_odd_minor_model
@@ -365,18 +365,21 @@ def _verify_decomposition(G: Graph, payload: dict) -> tuple[bool, str]:
 
 
 def _verify_coloring_payload(G: Graph, payload: dict) -> tuple[bool, str]:
+    mode, t = payload["mode"], payload["t"]
+    if mode not in ("defective", "clustered"):
+        return False, "unknown-mode"
+    if not isinstance(t, int) or t < 2:
+        return False, "t-out-of-range"
+    if payload["bound"] != (6 * t - 9 if mode == "defective" else 10 * t - 13):
+        return False, "bound-not-theorem"
     c = coloring_of(payload)
     if set(c.colors) != set(G.vertices()):
         return False, "coloring-not-total"
     if any(not 1 <= col <= c.palette_size for col in c.colors.values()):
         return False, "color-out-of-palette"
-    if payload["palette"] > payload["bound"]:
+    if c.palette_size > payload["bound"]:
         return False, "palette-exceeds-bound"
-    if payload["mode"] == "defective":
-        fam = BoundedDegree(payload["value"])
-    else:
-        fam = BoundedComponent(max(payload["value"], 1))
-    if not verify_coloring(G, c, fam):
+    if not verify_coloring(G, c, mode, payload["value"]):
         return False, "reported-quality-not-met"
     return True, "ok"
 

@@ -76,13 +76,35 @@ def _fail(msg: str) -> int:
 
 def _write(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as e:
+            sys.exit(_fail(f"cannot write {out}: {e}"))
     else:
         click.echo(text)
 
 
-@click.group()
+def _usage_error_is_input_error(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except click.UsageError as e:
+        e.exit_code = EXIT_INPUT_ERROR
+        raise
+
+
+class _Main(click.Group):
+    """Exits 4 on click's usage errors (a missing option, a bad value, an
+    unknown command), not click's 2, which here means "odd minor found"."""
+
+    def make_context(self, *args, **kwargs):
+        return _usage_error_is_input_error(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):
+        return _usage_error_is_input_error(super().invoke, ctx)
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Odd-minor detection, parity-breaking path dichotomies, structure
     decomposition, and bounded-palette improper coloring."""
@@ -151,12 +173,7 @@ def gen(family: str, params: tuple[str, ...], seed: int, fmt: str, out: Optional
         sys.exit(_fail(str(e)))
     _write(text, out)
     if cert is not None:
-        text = certs.serialize_certificate(cert)
-        if out:
-            with open(out + ".cert.json", "w") as fh:
-                fh.write(text + "\n")
-        else:
-            click.echo(text)
+        _write(certs.serialize_certificate(cert), out and out + ".cert.json")
 
 
 # ---------------------------------------------------------------------------

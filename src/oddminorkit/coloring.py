@@ -1,12 +1,13 @@
-"""Improper coloring pipeline: family classes, heuristic base colorers, the
-precoloring-extension recursion, defective/clustered entry points, and the
-average-degree bound calculators."""
+"""Improper coloring pipeline: the two quality measures (defect and largest
+monochromatic component, both on adjacency bitmasks) and their verifier,
+heuristic base colorers, the precoloring-extension recursion, the
+defective/clustered entry points, and the average-degree bound calculators."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from .graph import Graph, bipartition
 from .oddminor import OddMinorModel, relabel_model
@@ -39,45 +40,59 @@ class ColoringAssignment:
 
 
 # ---------------------------------------------------------------------------
-# Family classes
+# Quality measures
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundedDegree:
-    d: int
-
-    def accepts(self, G: Graph) -> bool:
-        return all(G.degree(v) <= self.d for v in G.vertices())
-
-    def contains_all_small(self, k: int) -> bool:
-        return self.d >= k - 1
+def _class_masks(colors: dict[int, int]) -> dict[int, int]:
+    masks: dict[int, int] = {}
+    for v, c in colors.items():
+        masks[c] = masks.get(c, 0) | 1 << v
+    return masks
 
 
-@dataclass(frozen=True)
-class BoundedComponent:
-    M: int
-
-    def accepts(self, G: Graph) -> bool:
-        return all(len(c) <= self.M for c in G.components())
-
-    def contains_all_small(self, k: int) -> bool:
-        return self.M >= k
+def _achieved_defect(G: Graph, colors: dict[int, int]) -> int:
+    """Most same-colored neighbours of any vertex."""
+    masks = _class_masks(colors)
+    return max(((G.adj_mask(v) & masks[colors[v]]).bit_count()
+                for v in G.vertices()), default=0)
 
 
-FamilyClass = Union[BoundedDegree, BoundedComponent]
+def _achieved_cluster(G: Graph, colors: dict[int, int]) -> int:
+    """Order of the largest monochromatic component, each class flood-filled
+    over the adjacency bitmasks, lowest vertex first."""
+    worst = 0
+    for rest in _class_masks(colors).values():
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier:
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    reach |= G.adj_mask(low.bit_length() - 1)
+                    frontier ^= low
+                frontier = reach & rest & ~comp
+                comp |= frontier
+            rest &= ~comp
+            worst = max(worst, comp.bit_count())
+    return worst
 
 
-def verify_coloring(G: Graph, c: ColoringAssignment, family) -> bool:
+def verify_coloring(G: Graph, c: ColoringAssignment, mode: str, value: int) -> bool:
+    """True iff c colors every vertex of G from 1..c.palette_size and its
+    measure is at most value: the defect (mode "defective") or the largest
+    monochromatic component (mode "clustered")."""
+    if mode == "defective":
+        measure = _achieved_defect
+    elif mode == "clustered":
+        measure = _achieved_cluster
+    else:
+        raise ValueError(f"unknown coloring mode {mode!r}")
     if set(c.colors) != set(G.vertices()):
-        raise ValueError("coloring must be total on the vertex set")
+        return False
     if any(not 1 <= col <= c.palette_size for col in c.colors.values()):
         return False
-    for _, members in c.classes(G).items():
-        sub, _ = G.induced(members)
-        if not family.accepts(sub):
-            return False
-    return True
+    return measure(G, c.colors) <= value
 
 
 # ---------------------------------------------------------------------------
@@ -97,25 +112,6 @@ def _degeneracy_order(G: Graph) -> list[int]:
             if w in alive:
                 deg[w] -= 1
     return order
-
-
-def _achieved_defect(G: Graph, colors: dict[int, int]) -> int:
-    worst = 0
-    for v in G.vertices():
-        same = sum(1 for w in G.neighbors(v) if colors[w] == colors[v])
-        worst = max(worst, same)
-    return worst
-
-
-def _achieved_cluster(G: Graph, colors: dict[int, int]) -> int:
-    worst = 0
-    by_color: dict[int, list[int]] = {}
-    for v, c in colors.items():
-        by_color.setdefault(c, []).append(v)
-    for members in by_color.values():
-        sub, _ = G.induced(members)
-        worst = max(worst, max(len(c) for c in sub.components()))
-    return worst
 
 
 def base_defective_coloring(
@@ -184,21 +180,14 @@ def base_clustered_coloring(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrecoloringInstance:
-    G: Graph
-    Z: frozenset[int]
-    f: dict[int, int]
-    t: int
-    family: FamilyClass
-
-
 BaseColorer = Callable[[Graph], ColoringAssignment]
 
 
 def _check_contract(
-    G: Graph, Z: frozenset[int], f: dict[int, int], g: dict[int, int], family
+    G: Graph, Z: frozenset[int], f: dict[int, int], g: dict[int, int], k: int
 ) -> None:
+    assert set(g) == set(G.vertices()), "extension is not total"
+    assert all(1 <= c <= k for c in g.values()), "color outside the palette"
     for z in Z:
         assert g[z] == f[z], "precolored vertex changed color"
     for v in Z:
@@ -208,11 +197,13 @@ def _check_contract(
 
 
 def precolor_extend(
-    inst: PrecoloringInstance,
+    G: Graph,
+    Z: frozenset[int],
+    f: dict[int, int],
+    t: int,
     d: int,
     base: BaseColorer,
     trace: Optional[list] = None,
-    limit: Optional[int] = None,
 ) -> ColoringAssignment:
     """Extend the precoloring f on Z to all of G with palette d + 4t - 7.
 
@@ -222,29 +213,23 @@ def precolor_extend(
     through the apex + bipartite-block decomposition. Discovery of an odd
     K_t minor aborts with OddMinorFoundError carrying the certificate.
     """
-    t = inst.t
     if t < 2:
         raise ValueError("t must be >= 2")
     k = d + 4 * t - 7
-    if len(inst.Z) > 4 * t - 7:
+    if len(Z) > 4 * t - 7:
         raise ValueError("|Z| exceeds 4t-7")
-    if set(inst.f) != set(inst.Z):
+    if set(f) != set(Z):
         raise ValueError("f must be defined exactly on Z")
-    if any(not 1 <= c <= k for c in inst.f.values()):
+    if any(not 1 <= c <= k for c in f.values()):
         raise ValueError("precolor outside the palette")
-    if not inst.family.contains_all_small(4 * t - 7):
-        raise ValueError("family must contain every graph on <= 4t-7 vertices")
-    colors = _extend(inst.G, inst.Z, dict(inst.f), t, d, inst.family, base,
-                     trace if trace is not None else [], limit)
-    g = ColoringAssignment(colors, k)
-    assert verify_coloring(inst.G, g, inst.family), "class outside family"
-    _check_contract(inst.G, inst.Z, inst.f, colors, inst.family)
-    return g
+    colors = _extend(G, Z, dict(f), t, d, base, trace if trace is not None else [])
+    _check_contract(G, Z, f, colors, k)
+    return ColoringAssignment(colors, k)
 
 
 def _extend(
     G: Graph, Z: frozenset[int], f: dict[int, int], t: int, d: int,
-    family, base: BaseColorer, trace: list, limit: Optional[int],
+    base: BaseColorer, trace: list,
 ) -> dict[int, int]:
     from .graph import find_small_separation
 
@@ -262,7 +247,7 @@ def _extend(
     zz = [(u, v) for (u, v) in G.edges() if u in Z and v in Z]
     if zz:
         trace.append(f"stabilize:{len(zz)}")
-        return _extend(G.without_edges(zz), Z, f, t, d, family, base, trace, limit)
+        return _extend(G.without_edges(zz), Z, f, t, d, base, trace)
 
     sep = find_small_separation(G, Z, 2 * t - 3)
     if sep is not None:
@@ -275,7 +260,7 @@ def _extend(
         fa = {back_a[z]: f[z] for z in Z}
         try:
             ca = _extend(GA, frozenset(back_a[z] for z in Z), fa, t, d,
-                         family, base, trace, limit)
+                         base, trace)
         except OddMinorFoundError as e:
             raise OddMinorFoundError(t, relabel_model(e.model, ids_a)) from None
         g1 = {ids_a[v]: c for v, c in ca.items()}
@@ -286,7 +271,7 @@ def _extend(
         fb = {back_b[z]: g1[z] for z in Zp}
         try:
             cb = _extend(GB, frozenset(back_b[z] for z in Zp), fb, t, d,
-                         family, base, trace, limit)
+                         base, trace)
         except OddMinorFoundError as e:
             raise OddMinorFoundError(t, relabel_model(e.model, ids_b)) from None
         g2 = {ids_b[v]: c for v, c in cb.items()}
@@ -298,9 +283,7 @@ def _extend(
 
     rest = sorted(set(G.vertices()) - Z)
     Gz, ids_z = G.induced(rest)
-    emb = find_bipartite_join_subdivision(
-        Gz, 2 * t - 2, t, limit=max(Gz.n, 30) if limit is None else limit
-    )
+    emb = find_bipartite_join_subdivision(Gz, 2 * t - 2, t, limit=max(Gz.n, 30))
 
     if emb is None:
         trace.append("base-colorer")
@@ -316,8 +299,7 @@ def _extend(
 
     trace.append("decompose")
     out = structure_theorem(
-        G, t, emb=relabel_embedding(emb, ids_z),
-        limit=max(G.n * 4, 30) if limit is None else limit,
+        G, t, emb=relabel_embedding(emb, ids_z), limit=max(G.n * 4, 30)
     )
     if isinstance(out, OddMinorModel):
         raise OddMinorFoundError(t, out)
@@ -375,14 +357,9 @@ def color_defective(
     def base(H: Graph) -> ColoringAssignment:
         return base_defective_coloring(H, s, t)[0]
 
-    inst = PrecoloringInstance(
-        G, frozenset(), {}, t, BoundedDegree(max(G.n, 4 * t - 8))
-    )
-    g = precolor_extend(inst, s, base, trace=trace)
+    g = precolor_extend(G, frozenset(), {}, t, s, base, trace=trace)
     assert g.palette_size == 6 * t - 9
-    defect = _achieved_defect(G, g.colors)
-    assert verify_coloring(G, g, BoundedDegree(max(defect, 4 * t - 8)))
-    return g, defect
+    return g, _achieved_defect(G, g.colors)
 
 
 def color_clustered(
@@ -407,14 +384,9 @@ def color_clustered(
                 combined[ids[v]] = (col - 1) * 3 + c2(v)
         return ColoringAssignment(combined, 3 * c1.palette_size)
 
-    inst = PrecoloringInstance(
-        G, frozenset(), {}, t, BoundedComponent(max(G.n, 4 * t - 7))
-    )
-    g = precolor_extend(inst, 3 * s, base, trace=trace)
+    g = precolor_extend(G, frozenset(), {}, t, 3 * s, base, trace=trace)
     assert g.palette_size == 10 * t - 13
-    cluster = _achieved_cluster(G, g.colors)
-    assert verify_coloring(G, g, BoundedComponent(max(cluster, 4 * t - 7)))
-    return g, cluster
+    return g, _achieved_cluster(G, g.colors)
 
 
 # ---------------------------------------------------------------------------

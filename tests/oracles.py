@@ -71,6 +71,25 @@ def blocks_nx(G: Graph) -> set[frozenset]:
     return out
 
 
+def _monochromatic(G: Graph, colors) -> nx.Graph:
+    """The spanning subgraph of G keeping only edges whose ends share a color."""
+    H = nx.Graph()
+    H.add_nodes_from(G.vertices())
+    H.add_edges_from((u, v) for u, v in G.edges() if colors[u] == colors[v])
+    return H
+
+
+def max_class_degree(G: Graph, colors) -> int:
+    """Largest degree of a vertex inside the subgraph its color class induces."""
+    return max((d for _, d in _monochromatic(G, colors).degree()), default=0)
+
+
+def largest_class_component(G: Graph, colors) -> int:
+    """Order of the largest connected monochromatic vertex set."""
+    return max((len(c) for c in nx.connected_components(_monochromatic(G, colors))),
+               default=0)
+
+
 def is_separation(G: Graph, A, B) -> bool:
     """A and B cover V(G) and no edge joins A - B to B - A."""
     if set(A) | set(B) != set(G.vertices()):

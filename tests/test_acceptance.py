@@ -11,12 +11,9 @@ import random
 import time
 
 from oddminorkit import (
-    BoundedComponent,
-    BoundedDegree,
     Decomposition,
     Graph,
     OddMinorFoundError,
-    PrecoloringInstance,
     SignedGraph,
     bipartition,
     bound_M,
@@ -224,10 +221,12 @@ def test_criterion_06_coloring_bounds_on_corpus():
     for G in corpus:
         c, defect = color_defective(G, 3)
         assert c.palette_size <= 9
-        assert verify_coloring(G, c, BoundedDegree(defect))
+        assert defect == oracles.max_class_degree(G, c.colors)
+        assert verify_coloring(G, c, "defective", defect)
         c, cluster = color_clustered(G, 3)
         assert c.palette_size <= 17
-        assert verify_coloring(G, c, BoundedComponent(max(cluster, 1)))
+        assert cluster == oracles.largest_class_component(G, c.colors)
+        assert verify_coloring(G, c, "clustered", cluster)
     report(6, f"{len(corpus)} corpus graphs ({certified} detector-certified), "
            "palettes <=9 / <=17", t0, 1200)
 
@@ -248,10 +247,8 @@ def test_criterion_07_precoloring_contract():
         G = random_graph(rng.randint(1, 11), 0.3, seed)
         zs = rng.sample(range(G.n), min(G.n, rng.randint(0, 4 * t - 7)))
         f = {z: rng.randint(1, k) for z in zs}
-        fam = BoundedDegree(max(G.n, 4 * t - 8))
-        inst = PrecoloringInstance(G, frozenset(zs), f, t, fam)
         try:
-            g = precolor_extend(inst, d,
+            g = precolor_extend(G, frozenset(zs), f, t, d,
                                 lambda H: base_defective_coloring(H, d, t)[0])
         except OddMinorFoundError as e:
             ok, reason = verify_odd_minor_model(G, Kt(t), e.model)
@@ -263,7 +260,8 @@ def test_criterion_07_precoloring_contract():
             for w in G.neighbors(z):
                 if w not in set(zs):
                     assert g(w) != g(z)  # condition (b)
-        assert verify_coloring(G, g, fam)
+        assert set(g.colors) == set(G.vertices())  # total
+        assert all(1 <= col <= k for col in g.colors.values())  # in the palette
         extended += 1
     report(7, f"500 instances: {extended} extended, {surfaced} odd minors, "
            "100% contract", t0, 600)

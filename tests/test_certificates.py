@@ -16,6 +16,7 @@ from oddminorkit import (
     certify_signed_minor_model,
     certify_subdivision,
     chorded_subdivision,
+    color_clustered,
     color_defective,
     complete,
     complete_bipartite,
@@ -145,6 +146,35 @@ def test_coloring_value_is_checked():
     bad = parse_certificate(json.dumps(doc))
     ok, reason = verify_certificate(K44, bad)
     assert not ok and reason == "reported-quality-not-met"
+
+
+@pytest.mark.parametrize("mode, edit, reason", [
+    ("defective", {}, "ok"),
+    ("clustered", {}, "ok"),
+    ("defective", {"mode": "bogus"}, "unknown-mode"),
+    ("clustered", {"mode": "bogus"}, "unknown-mode"),
+    ("defective", {"mode": "clustered"}, "bound-not-theorem"),
+    ("defective", {"t": 1}, "t-out-of-range"),
+    ("defective", {"t": -5}, "t-out-of-range"),
+    ("defective", {"t": "3"}, "t-out-of-range"),
+    ("defective", {"t": 99}, "bound-not-theorem"),
+    ("defective", {"bound": 1000, "palette": 1000}, "bound-not-theorem"),
+    ("clustered", {"bound": 18}, "bound-not-theorem"),
+    ("defective", {"palette": 10}, "palette-exceeds-bound"),
+    ("clustered", {"palette": 18}, "palette-exceeds-bound"),
+    ("clustered", {"value": 0}, "reported-quality-not-met"),
+    ("defective", {"value": -1}, "reported-quality-not-met"),
+])
+def test_coloring_claims_are_checked_against_the_theorem(mode, edit, reason):
+    K44 = complete_bipartite(4, 4)
+    color = color_defective if mode == "defective" else color_clustered
+    col, value = color(K44, 3)
+    bound = 9 if mode == "defective" else 17
+    cert = certify_coloring(K44, col, mode, 3, bound, value)
+    doc = json.loads(serialize_certificate(cert))
+    doc["payload"].update(edit)
+    ok, got = verify_certificate(K44, parse_certificate(json.dumps(doc)))
+    assert (ok, got) == (reason == "ok", reason)
 
 
 @pytest.mark.parametrize("kind, field, value, reason", [

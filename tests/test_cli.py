@@ -143,6 +143,44 @@ def test_missing_input_is_an_input_error(runner, tmp_path):
     assert res.exit_code == 4
 
 
+@pytest.mark.parametrize("args", [
+    ["gen", "cycle", "5"],
+    ["detect", "C5", "--t", "3"],
+    ["color", "C5", "--t", "3"],
+    ["color", "K33", "--t", "3"],
+    ["corpus", "--sweep", "cycle:4-5", "--t", "3"],
+])
+def test_unwritable_out_is_an_input_error(runner, tmp_path, args):
+    paths = {"C5": write_graph(tmp_path, cycle(5), "c5.g6"),
+             "K33": write_graph(tmp_path, complete_bipartite(3, 3), "k33.g6")}
+    out = str(tmp_path / "missing-dir" / "out")
+    res = runner.invoke(main, [paths.get(a, a) for a in args] + ["--out", out])
+    assert res.exit_code == 4, res.output
+    assert res.output.startswith(f"error: cannot write {out}")
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+def test_unwritable_gen_certificate_is_an_input_error(runner, tmp_path):
+    out = tmp_path / "js.g6"
+    (tmp_path / "js.g6.cert.json").mkdir()  # a directory cannot be opened for writing
+    res = runner.invoke(main, ["gen", "join_subdivision", "2", "2", "--out", str(out)])
+    assert res.exit_code == 4, res.output
+    assert "cannot write" in res.output and out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["detect", "C5"],  # missing --t
+    ["gen", "join_subdivision", "-100000", "2"],  # -100000 reads as an option
+    ["color", "C5", "--t", "three"],
+    ["no-such-command"],
+])
+def test_usage_errors_exit_4_not_the_certificate_code(runner, tmp_path, args):
+    c5 = write_graph(tmp_path, cycle(5))
+    res = runner.invoke(main, [c5 if a == "C5" else a for a in args])
+    assert res.exit_code == 4, res.output
+    assert "Usage:" in res.output
+
+
 def test_color_success_and_odd_minor(runner, tmp_path):
     k33 = write_graph(tmp_path, complete_bipartite(3, 3))
     res = runner.invoke(main, ["color", k33, "--t", "3", "--trace"])

@@ -1,4 +1,5 @@
-"""Family classes, base colorers, precoloring extension, entry points, bounds."""
+"""Quality measures and their verifier, base colorers, precoloring
+extension, entry points, bounds."""
 
 import math
 import random
@@ -7,12 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oddminorkit import (
-    BoundedComponent,
-    BoundedDegree,
     ColoringAssignment,
     Graph,
     OddMinorFoundError,
-    PrecoloringInstance,
     bound_M,
     bound_N,
     color_clustered,
@@ -34,38 +32,51 @@ from oddminorkit.coloring import (
     base_defective_coloring,
 )
 
+import oracles
+
 
 def Kt(t):
     return Graph(t, [(i, j) for i in range(t) for j in range(i + 1, t)])
 
 
 # ---------------------------------------------------------------------------
-# families and the verifier
+# quality measures and the verifier
 # ---------------------------------------------------------------------------
-
-
-def test_family_membership():
-    P3 = Graph(3, [(0, 1), (1, 2)])
-    assert BoundedDegree(2).accepts(P3)
-    assert not BoundedDegree(1).accepts(P3)
-    assert BoundedComponent(3).accepts(P3)
-    assert not BoundedComponent(2).accepts(P3)
-    assert BoundedDegree(3).contains_all_small(4)
-    assert not BoundedDegree(2).contains_all_small(4)
-    assert BoundedComponent(4).contains_all_small(4)
 
 
 def test_verify_coloring():
     C4 = cycle(4)
     good = ColoringAssignment({0: 1, 1: 2, 2: 1, 3: 2}, 2)
-    assert verify_coloring(C4, good, BoundedDegree(0))
+    assert verify_coloring(C4, good, "defective", 0)
+    assert verify_coloring(C4, good, "clustered", 1)
     allsame = ColoringAssignment({v: 1 for v in range(4)}, 2)
-    assert verify_coloring(C4, allsame, BoundedDegree(2))
-    assert not verify_coloring(C4, allsame, BoundedDegree(1))
-    with pytest.raises(ValueError):
-        verify_coloring(C4, ColoringAssignment({0: 1}, 2), BoundedDegree(2))
+    assert verify_coloring(C4, allsame, "defective", 2)
+    assert not verify_coloring(C4, allsame, "defective", 1)
+    assert verify_coloring(C4, allsame, "clustered", 4)
+    assert not verify_coloring(C4, allsame, "clustered", 3)
+    assert not verify_coloring(C4, ColoringAssignment({0: 1}, 2), "defective", 2)
     out_of_palette = ColoringAssignment({0: 1, 1: 2, 2: 3, 3: 1}, 2)
-    assert not verify_coloring(C4, out_of_palette, BoundedDegree(2))
+    assert not verify_coloring(C4, out_of_palette, "defective", 2)
+    with pytest.raises(ValueError):
+        verify_coloring(C4, good, "bogus", 4)
+
+
+def random_coloring(seed):
+    rng = random.Random(seed)
+    G = random_graph(rng.randint(0, 12), rng.choice((0.2, 0.4, 0.7)), seed)
+    k = rng.randint(1, 4)
+    return G, ColoringAssignment({v: rng.randint(1, k) for v in G.vertices()}, k)
+
+
+@given(st.integers(0, 10_000), st.integers(0, 12))
+def test_verify_coloring_matches_the_networkx_measures(seed, value):
+    G, c = random_coloring(seed)
+    defect = oracles.max_class_degree(G, c.colors)
+    cluster = oracles.largest_class_component(G, c.colors)
+    assert _achieved_defect(G, c.colors) == defect
+    assert _achieved_cluster(G, c.colors) == cluster
+    assert verify_coloring(G, c, "defective", value) == (defect <= value)
+    assert verify_coloring(G, c, "clustered", value) == (cluster <= value)
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +91,8 @@ def test_base_defective_measures_truthfully(seed):
     s = rng.randint(1, 4)
     c, defect = base_defective_coloring(G, s, 3)
     assert c.palette_size <= s
-    assert defect == _achieved_defect(G, c.colors)
-    assert verify_coloring(G, c, BoundedDegree(defect))
+    assert defect == oracles.max_class_degree(G, c.colors)
+    assert verify_coloring(G, c, "defective", defect)
 
 
 @given(st.integers(0, 120))
@@ -90,8 +101,8 @@ def test_base_clustered_measures_truthfully(seed):
     G = random_graph(rng.randint(1, 10), 0.3, seed)
     delta = max((G.degree(v) for v in G.vertices()), default=0)
     c, cluster = base_clustered_coloring(G, delta, 3)
-    assert cluster == _achieved_cluster(G, c.colors)
-    assert verify_coloring(G, c, BoundedComponent(max(cluster, 1)))
+    assert cluster == oracles.largest_class_component(G, c.colors)
+    assert verify_coloring(G, c, "clustered", cluster)
 
 
 def test_base_colorers_on_easy_shapes():
@@ -116,14 +127,16 @@ def test_defective_palette_and_verification():
               complete_bipartite(6, 6)):
         c, defect = color_defective(G, 3)
         assert c.palette_size == 9
-        assert verify_coloring(G, c, BoundedDegree(max(defect, 4)))
+        assert defect == oracles.max_class_degree(G, c.colors)
+        assert verify_coloring(G, c, "defective", defect)
 
 
 def test_clustered_palette_and_verification():
     for G in (complete_bipartite(4, 4), cycle(8), complete_bipartite(6, 6)):
         c, cluster = color_clustered(G, 3)
         assert c.palette_size == 17
-        assert verify_coloring(G, c, BoundedComponent(max(cluster, 5)))
+        assert cluster == oracles.largest_class_component(G, c.colors)
+        assert verify_coloring(G, c, "clustered", cluster)
 
 
 def test_odd_cycle_surfaces_certificate():
@@ -173,9 +186,9 @@ def test_bipartite_hosts_skip_the_exhaustive_precheck(monkeypatch, precheck):
     for t in (3, 4):
         for G in BIPARTITE_HOSTS:
             c, defect = color_defective(G, t, precheck=precheck)
-            assert verify_coloring(G, c, BoundedDegree(max(defect, 4 * t - 8)))
+            assert verify_coloring(G, c, "defective", defect)
             c, cluster = color_clustered(G, t, precheck=precheck)
-            assert verify_coloring(G, c, BoundedComponent(max(cluster, 4 * t - 7)))
+            assert verify_coloring(G, c, "clustered", cluster)
 
 
 def test_bipartite_shortcut_matches_the_exhaustive_oracle():
@@ -203,14 +216,12 @@ def test_precoloring_contract(seed):
     d = 2 * t - 2
     k = d + 4 * t - 7
     f = {z: rng.randint(1, k) for z in zs}
-    fam = BoundedDegree(max(G.n, 4 * t - 8))
-    inst = PrecoloringInstance(G, frozenset(zs), f, t, fam)
 
     def base(H):
         return base_defective_coloring(H, d, t)[0]
 
     try:
-        g = precolor_extend(inst, d, base)
+        g = precolor_extend(G, frozenset(zs), f, t, d, base)
     except OddMinorFoundError as e:
         ok, reason = verify_odd_minor_model(G, Kt(t), e.model)
         assert ok, reason
@@ -221,29 +232,25 @@ def test_precoloring_contract(seed):
         for w in G.neighbors(z):
             if w not in set(zs):
                 assert g(w) != g(z)
-    assert verify_coloring(G, g, fam)
+    assert set(g.colors) == set(G.vertices())
+    assert all(1 <= col <= k for col in g.colors.values())
 
 
 def test_precolor_extend_validates_input():
     G = cycle(4)
-    fam = BoundedDegree(10)
 
     def base(H):
         return base_defective_coloring(H, 4, 3)[0]
 
     with pytest.raises(ValueError):
-        precolor_extend(
-            PrecoloringInstance(G, frozenset({0}), {}, 3, fam), 4, base
-        )
+        precolor_extend(G, frozenset({0}), {}, 3, 4, base)
     with pytest.raises(ValueError):
-        precolor_extend(
-            PrecoloringInstance(G, frozenset({0}), {0: 99}, 3, fam), 4, base
-        )
+        precolor_extend(G, frozenset({0}), {0: 99}, 3, 4, base)
     with pytest.raises(ValueError):
-        precolor_extend(
-            PrecoloringInstance(G, frozenset(), {}, 3, BoundedDegree(1)),
-            4, base,
-        )
+        precolor_extend(G, frozenset({0, 1, 2, 3, 4, 5}), {v: 1 for v in range(6)},
+                        3, 4, base)
+    with pytest.raises(ValueError):
+        precolor_extend(G, frozenset(), {}, 1, 4, base)
 
 
 # ---------------------------------------------------------------------------
