@@ -412,7 +412,8 @@ def _sig6(x: float) -> str:
 
 
 def _sweep_instances(sweep: str, seed: int):
-    """Expand a sweep spec into (label, Graph) pairs.
+    """Parse a sweep spec into (most vertices, lazy (label, Graph) pairs);
+    the count comes from the spec alone, before any graph is built.
 
     Specs: complete_bipartite:M,N (all 1<=m<=M, 1<=n<=N) | cycle:A-B |
     random:N,P,COUNT
@@ -420,19 +421,17 @@ def _sweep_instances(sweep: str, seed: int):
     kind, _, arg = sweep.partition(":")
     if kind == "complete_bipartite":
         M, N = (int(x) for x in arg.split(","))
-        for m in range(1, M + 1):
-            for n in range(1, N + 1):
-                yield f"complete_bipartite({m},{n})", complete_bipartite(m, n)
-    elif kind == "cycle":
+        return M + N, ((f"complete_bipartite({m},{n})", complete_bipartite(m, n))
+                       for m in range(1, M + 1) for n in range(1, N + 1))
+    if kind == "cycle":
         a, b = (int(x) for x in arg.split("-"))
-        for n in range(a, b + 1):
-            yield f"cycle({n})", cycle(n)
-    elif kind == "random":
+        return b, ((f"cycle({n})", cycle(n)) for n in range(a, b + 1))
+    if kind == "random":
         n, p, count = arg.split(",")
-        for i in range(int(count)):
-            yield f"random({n},{p},seed={seed + i})", random_graph(int(n), float(p), seed + i)
-    else:
-        raise ValueError(f"unknown sweep spec {sweep!r}")
+        return int(n), ((f"random({n},{p},seed={seed + i})",
+                         random_graph(int(n), float(p), seed + i))
+                        for i in range(int(count)))
+    raise ValueError(f"unknown sweep spec {sweep!r}")
 
 
 @main.command()
@@ -453,12 +452,19 @@ def corpus(graphs: tuple[str, ...], sweep: tuple[str, ...], fmt: str, t: int,
     re-verified before its row is recorded, and per-instance failures are
     recorded without stopping the run.
     """
+    if t < 2:
+        sys.exit(_fail("t must be >= 2"))
     instances: list[tuple[str, Graph]] = []
     try:
+        specs = [(sw, *_sweep_instances(sw, seed)) for sw in sweep]
+        for sw, n, _ in specs:
+            if n > MAX_VERTICES:
+                raise ValueError(f"sweep {sw} would have up to {n} vertices, "
+                                 f"more than the limit of {MAX_VERTICES}")
         for path in graphs:
             instances.append((path, _read_graph(path, fmt)))
-        for sw in sweep:
-            instances.extend(_sweep_instances(sw, seed))
+        for _, _, pairs in specs:
+            instances.extend(pairs)
     except ValueError as e:
         sys.exit(_fail(str(e)))
     bound = 6 * t - 9 if mode == "defective" else 10 * t - 13

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .graph import Graph, bipartition
+from .graph import Graph, bipartition, bits
 from .oddminor import OddMinorModel, relabel_model
 from .structure import Decomposition, structure_theorem
 from .subdivision import find_bipartite_join_subdivision, relabel_embedding
@@ -60,19 +60,11 @@ def _achieved_defect(G: Graph, colors: dict[int, int]) -> int:
 
 def _achieved_cluster(G: Graph, colors: dict[int, int]) -> int:
     """Order of the largest monochromatic component, each class flood-filled
-    over the adjacency bitmasks, lowest vertex first."""
+    by Graph.reach, lowest vertex first."""
     worst = 0
     for rest in _class_masks(colors).values():
         while rest:
-            comp = frontier = rest & -rest
-            while frontier:
-                reach = 0
-                while frontier:
-                    low = frontier & -frontier
-                    reach |= G.adj_mask(low.bit_length() - 1)
-                    frontier ^= low
-                frontier = reach & rest & ~comp
-                comp |= frontier
+            comp = G.reach(rest & -rest, rest)
             rest &= ~comp
             worst = max(worst, comp.bit_count())
     return worst
@@ -108,7 +100,7 @@ def _degeneracy_order(G: Graph) -> list[int]:
         v = min(alive, key=lambda u: (deg[u], u))
         order.append(v)
         alive.remove(v)
-        for w in G.neighbors(v):
+        for w in bits(G.adj_mask(v)):
             if w in alive:
                 deg[w] -= 1
     return order
@@ -130,7 +122,7 @@ def base_defective_coloring(
     colors: dict[int, int] = {}
     for v in reversed(_degeneracy_order(G)):
         counts = [0] * (s + 1)
-        for w in G.neighbors(v):
+        for w in bits(G.adj_mask(v)):
             if w in colors:
                 counts[colors[w]] += 1
         colors[v] = min(range(1, s + 1), key=lambda c: (counts[c], c))
@@ -156,21 +148,17 @@ def base_clustered_coloring(
             1 if G.n else 0
         )
     colors: dict[int, int] = {}
+    class_mask = [0] * (budget + 1)
 
     def joined_size(v: int, c: int) -> int:
-        # size of the same-colored component v would join, via flood fill
-        seen = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for w in G.neighbors(x):
-                if w not in seen and colors.get(w) == c:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen)
+        # order of the class-c component v would join
+        bit = 1 << v
+        return G.reach(bit, class_mask[c] | bit).bit_count()
 
     for v in reversed(_degeneracy_order(G)):
-        colors[v] = min(range(1, budget + 1), key=lambda c: (joined_size(v, c), c))
+        colors[v] = col = min(range(1, budget + 1),
+                              key=lambda c: (joined_size(v, c), c))
+        class_mask[col] |= 1 << v
     c = ColoringAssignment(colors, budget)
     return c, _achieved_cluster(G, colors)
 
@@ -191,7 +179,7 @@ def _check_contract(
     for z in Z:
         assert g[z] == f[z], "precolored vertex changed color"
     for v in Z:
-        for w in G.neighbors(v):
+        for w in bits(G.adj_mask(v)):
             if w not in Z:
                 assert g[v] != g[w], "precolored vertex matches an outside neighbor"
 
@@ -305,10 +293,7 @@ def _extend(
         raise OddMinorFoundError(t, out)
     dec: Decomposition = out
     X, U = set(dec.X), set(dec.U)
-    outside = set(G.vertices()) - X - U
-    for comp in G.subgraph_on(outside).components():
-        real = [v for v in comp if v in outside]
-        assert set(real) <= Z, "stray component outside apex set and block"
+    assert set(G.vertices()) - X - U <= Z, "stray vertex outside apex set and block"
     avail = [c for c in range(1, 4 * t - 4 + 1) if c not in set(f.values())]
     assert len(avail) >= 3, "not enough fresh colors"
     c1, c2, c3 = avail[:3]

@@ -1,8 +1,9 @@
 """Simple undirected graphs and the classical subroutines everything else consumes.
 
-Vertices are dense 0-based integers.  Graphs are immutable after
-construction (the neighbour sets are a view built on first use) and safe to
-share between threads.
+Vertices are dense 0-based integers.  Adjacency is one bitmask per vertex,
+read through Graph.adj_mask; bits(mask) lists a mask's vertices in ascending
+order, and Graph.reach flood-fills a vertex mask.  Graphs are immutable after
+construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -42,15 +43,24 @@ def _norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def bits(mask: int) -> list[int]:
+    """The set bits of mask (the vertices of a vertex mask), ascending."""
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
+    return out
+
+
 class Graph:
     """A finite simple undirected graph on vertices 0..n-1.
 
-    Adjacency is one bitmask per vertex. The frozensets neighbors() returns
-    are built on its first call, since many graphs (the odd S-path engine's
-    inputs, certificate hosts) are only read through masks and edges.
+    Adjacency is one bitmask per vertex: bit w of adj_mask(v) is set iff vw
+    is an edge.
     """
 
-    __slots__ = ("n", "_adj", "_adj_mask", "_edges")
+    __slots__ = ("n", "_adj_mask", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -68,7 +78,6 @@ class Graph:
             masks[v] |= 1 << u
             es.append(_norm_edge(u, v))
         self.n = n
-        self._adj: Optional[tuple[frozenset[int], ...]] = None
         self._adj_mask = tuple(masks)
         self._edges = tuple(sorted(es))
 
@@ -83,16 +92,6 @@ class Graph:
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         return self._edges
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        adj = self._adj
-        if adj is None:
-            sets: list[list[int]] = [[] for _ in range(self.n)]
-            for a, b in self._edges:
-                sets[a].append(b)
-                sets[b].append(a)
-            adj = self._adj = tuple(map(frozenset, sets))
-        return adj[v]
 
     def adj_mask(self, v: int) -> int:
         return self._adj_mask[v]
@@ -119,15 +118,6 @@ class Graph:
 
     # -- derived graphs ------------------------------------------------
 
-    def without_vertices(self, X: Iterable[int]) -> tuple["Graph", list[int]]:
-        """Induced subgraph on V minus X.
-
-        Returns (graph, old_ids) where old_ids[new] = old vertex id.
-        """
-        Xs = set(X)
-        keep = [v for v in range(self.n) if v not in Xs]
-        return self.induced(keep)
-
     def induced(self, vertices: Sequence[int]) -> tuple["Graph", list[int]]:
         """Induced subgraph on the given vertices (relabelled densely).
 
@@ -153,38 +143,39 @@ class Graph:
 
     # -- connectivity --------------------------------------------------
 
+    def reach(self, seed: int, within: int) -> int:
+        """The vertices of G[within] joined to a vertex of seed & within by a
+        path inside within, as a mask: the union of the components of
+        G[within] that meet seed."""
+        adj = self._adj_mask
+        comp = frontier = seed & within
+        while frontier:
+            nbrs = 0
+            while frontier:
+                low = frontier & -frontier
+                nbrs |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nbrs & within & ~comp
+            comp |= frontier
+        return comp
+
     def components(self) -> list[list[int]]:
-        seen = [False] * self.n
+        """Vertex lists of the components, each ascending, by lowest vertex."""
         comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            stack = [s]
-            seen[s] = True
-            comp = []
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in self.neighbors(v):
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(sorted(comp))
+        rest = (1 << self.n) - 1
+        while rest:
+            comp = self.reach(rest & -rest, rest)
+            comps.append(bits(comp))
+            rest &= ~comp
         return comps
 
     def is_connected_subset(self, vs: Sequence[int]) -> bool:
         if not vs:
             return False
-        vset = set(vs)
-        stack = [next(iter(vset))]
-        seen = {stack[0]}
-        while stack:
-            v = stack.pop()
-            for w in self.neighbors(v):
-                if w in vset and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen == vset
+        within = 0
+        for v in vs:
+            within |= 1 << v
+        return self.reach(within & -within, within) == within
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +415,7 @@ def bipartition(G: Graph) -> Optional[TwoColoring]:
         queue = [s]
         while queue:
             v = queue.pop()
-            for w in G.neighbors(v):
+            for w in bits(G.adj_mask(v)):
                 if w not in color:
                     color[w] = 3 - color[v]
                     queue.append(w)
@@ -445,7 +436,7 @@ def find_odd_cycle(G: Graph) -> Optional[Path]:
         queue = [s]
         while queue:
             v = queue.pop()
-            for w in G.neighbors(v):
+            for w in bits(G.adj_mask(v)):
                 if w not in color:
                     color[w] = 3 - color[v]
                     parent[w] = v
@@ -462,7 +453,7 @@ def find_odd_cycle(G: Graph) -> Optional[Path]:
                     while x is not None:
                         pw.append(x)
                         x = parent[x]
-                    sv, sw = set(pv), set(pw)
+                    sw = set(pw)
                     anc = next(x for x in pv if x in sw)
                     cyc = pv[: pv.index(anc) + 1] + list(reversed(pw[: pw.index(anc)]))
                     assert len(cyc) % 2 == 1
@@ -493,7 +484,7 @@ def blocks(G: Graph) -> list[frozenset[int]]:
         # iterative DFS with an edge stack
         estack: list[tuple[int, int]] = []
         stack: list[tuple[int, Optional[int], Iterator[int]]] = [
-            (root, None, iter(sorted(G.neighbors(root))))
+            (root, None, iter(bits(G.adj_mask(root))))
         ]
         visited[root] = True
         disc[root] = low[root] = next(timer)
@@ -505,7 +496,7 @@ def blocks(G: Graph) -> list[frozenset[int]]:
                     estack.append((v, w))
                     visited[w] = True
                     disc[w] = low[w] = next(timer)
-                    stack.append((w, v, iter(sorted(G.neighbors(w)))))
+                    stack.append((w, v, iter(bits(G.adj_mask(w)))))
                     advanced = True
                     break
                 elif w != par and disc[w] < disc[v]:
@@ -543,13 +534,13 @@ def find_small_separation(
     least A cap B).  None if no such separation exists.
 
     Cuts are tried by order, and within one order in lexicographic order.
-    For each cut the components of G - cut are flood-filled over the
-    adjacency bitmasks, lowest vertex first; A is the cut plus the first
-    component that meets V - Z, and B is everything outside that component.
-    No Graph is built per cut.
+    For each cut the components of G - cut are flood-filled by Graph.reach,
+    lowest vertex first; A is the cut plus the first component that meets
+    V - Z, and B is everything outside that component. No Graph is built per
+    cut.
     """
     n = G.n
-    adj = G._adj_mask
+    reach = G.reach
     full = (1 << n) - 1
     outside_z = full
     for z in set(Z):
@@ -564,23 +555,12 @@ def find_small_separation(
             rest = alive
             side_a = 0
             while rest:
-                comp = frontier = rest & -rest
-                while frontier:
-                    reach = 0
-                    while frontier:
-                        low = frontier & -frontier
-                        reach |= adj[low.bit_length() - 1]
-                        frontier ^= low
-                    frontier = reach & alive & ~comp
-                    comp |= frontier
+                comp = reach(rest & -rest, alive)
                 if comp & outside_z:
                     side_a = comp
                     break
                 rest &= ~comp
             if side_a and alive & outside_z & ~side_a:
                 A, B = side_a | cutmask, full & ~side_a
-                return Separation(
-                    frozenset(v for v in range(n) if A >> v & 1),
-                    frozenset(v for v in range(n) if B >> v & 1),
-                )
+                return Separation(frozenset(bits(A)), frozenset(bits(B)))
     return None

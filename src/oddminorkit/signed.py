@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graph import Graph, Path, SizeLimitError, default_limit, _norm_edge
+from .graph import Graph, Path, SizeLimitError, bits, default_limit, _norm_edge
 
 Edge = tuple[int, int]
 
@@ -83,14 +83,13 @@ def signatures_equivalent(
         root = comp[0]
         side[root] = 0
         stack = [root]
-        seen = {root}
+        seen = 1 << root
         while stack:
             v = stack.pop()
-            for w in G.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    side[w] = side[v] ^ (1 if _norm_edge(v, w) in diff else 0)
-                    stack.append(w)
+            for w in bits(G.adj_mask(v) & ~seen):
+                seen |= 1 << w
+                side[w] = side[v] ^ (1 if _norm_edge(v, w) in diff else 0)
+                stack.append(w)
     X = frozenset(v for v, s in side.items() if s == 1)
     if cut_edges(G, X) == diff:
         return X
@@ -197,15 +196,6 @@ def _connected_subsets(G: Graph) -> list[int]:
     return sorted(conn, key=lambda m: (bin(m).count("1"), m))
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return out
-
-
 def _valid_colorings(G: Graph, mask: int) -> list[int]:
     """Color masks c (bit set = color 2) such that the disagreement graph on
     the subset spans it; exactly the colorings proper on some spanning tree.
@@ -214,7 +204,7 @@ def _valid_colorings(G: Graph, mask: int) -> list[int]:
     odd-minor use but NOT for general signed patterns, so callers must try
     both c and its complement.
     """
-    vs = _bits(mask)
+    vs = bits(mask)
     if len(vs) == 1:
         return [0]
     low = mask & -mask
@@ -232,7 +222,7 @@ def _valid_colorings(G: Graph, mask: int) -> list[int]:
         while stack:
             v = stack.pop()
             cv = (c >> v) & 1
-            for w in _bits(G.adj_mask(v) & mask & ~seen):
+            for w in bits(G.adj_mask(v) & mask & ~seen):
                 if ((c >> w) & 1) != cv:
                     seen |= 1 << w
                     stack.append(w)
@@ -247,7 +237,7 @@ def _mono_edge(G: Graph, m1: int, c1: int, m2: int, c2: int) -> Optional[Edge]:
     ones1, zeros1 = m1 & c1, m1 & ~c1
     ones2, zeros2 = m2 & c2, m2 & ~c2
     for (a_side, b_side) in ((ones1, ones2), (zeros1, zeros2)):
-        for v in _bits(a_side):
+        for v in bits(a_side):
             hit = G.adj_mask(v) & b_side
             if hit:
                 return _norm_edge(v, (hit & -hit).bit_length() - 1)
@@ -255,7 +245,7 @@ def _mono_edge(G: Graph, m1: int, c1: int, m2: int, c2: int) -> Optional[Edge]:
 
 
 def _spanning_tree_of_disagreement(G: Graph, mask: int, c: int) -> list[Edge]:
-    vs = _bits(mask)
+    vs = bits(mask)
     if len(vs) == 1:
         return []
     start = vs[0]
@@ -265,7 +255,7 @@ def _spanning_tree_of_disagreement(G: Graph, mask: int, c: int) -> list[Edge]:
     while stack:
         v = stack.pop()
         cv = (c >> v) & 1
-        for w in _bits(G.adj_mask(v) & mask):
+        for w in bits(G.adj_mask(v) & mask):
             if w not in seen and ((c >> w) & 1) != cv:
                 seen.add(w)
                 edges.append(_norm_edge(v, w))
@@ -287,7 +277,7 @@ def _has_clique_minor(G: Graph, t: int, conn: Optional[list[int]] = None) -> boo
     nbr = {}
     for m in conn:
         r = 0
-        for v in _bits(m):
+        for v in bits(m):
             r |= G.adj_mask(v)
         nbr[m] = r & ~m
 
@@ -386,7 +376,7 @@ def find_signed_minor(
     tree_edges = {}
     tree_colorings = {}
     for u, (mask, c) in enumerate(choice):
-        vs = _bits(mask)
+        vs = bits(mask)
         trees[u] = tuple(vs)
         tree_edges[u] = tuple(_spanning_tree_of_disagreement(G, mask, c))
         tree_colorings[u] = {v: 2 if (c >> v) & 1 else 1 for v in vs}

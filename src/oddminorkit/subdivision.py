@@ -112,25 +112,33 @@ def _paths_between(
     """Simple a-b paths with internals outside forbidden, shortest first.
 
     parity, if given, restricts |E(P)| mod 2. Iterative deepening keeps the
-    shortest-first order without storing all paths.
+    shortest-first order without storing all paths; neighbours are pushed
+    lowest first, so within one length the highest is walked first.
     """
+    blocked = 1 << b  # b and the forbidden vertices are never interior
+    for v in forbidden:
+        blocked |= 1 << v
     for length in range(1, G.n + 1):
         if parity is not None and length % 2 != parity:
             continue
-        # depth-limited DFS for paths of exactly this length
-        stack: list[tuple[int, tuple[int, ...]]] = [(a, (a,))]
+        # depth-limited DFS for paths of exactly this length; seen masks the walk
+        stack: list[tuple[int, tuple[int, ...], int]] = [(a, (a,), 1 << a)]
         while stack:
-            v, walk = stack.pop()
+            v, walk, seen = stack.pop()
             if len(walk) - 1 == length:
                 if v == b:
                     yield Path(walk)
                 continue
-            for w in G.neighbors(v):
-                if w == b:
-                    if len(walk) == length:
-                        stack.append((w, walk + (w,)))
-                elif w not in forbidden and w not in walk:
-                    stack.append((w, walk + (w,)))
+            nbrs = G.adj_mask(v)
+            step = nbrs & ~blocked & ~seen
+            if len(walk) == length:
+                step |= nbrs & 1 << b
+            # bits() inlined: this loop is the routing search's hot spot
+            while step:
+                low = step & -step
+                w = low.bit_length() - 1
+                stack.append((w, walk + (w,), seen | low))
+                step ^= low
 
 
 def find_bipartite_join_subdivision(

@@ -108,7 +108,7 @@ def first_small_separation(G: Graph, Z, max_order: int):
     Zs = set(Z)
     for k in range(max_order + 1):
         for cut in itertools.combinations(range(G.n), k):
-            rest, old_ids = G.without_vertices(cut)
+            rest, old_ids = G.induced([v for v in G.vertices() if v not in cut])
             comps = [[old_ids[v] for v in c] for c in rest.components()]
             good = [c for c in comps if any(v not in Zs for v in c)]
             if len(good) >= 2:

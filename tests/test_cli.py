@@ -307,3 +307,30 @@ def test_corpus_empty_is_header_only(runner):
     assert res.output.strip() == (
         "instance,n,m,t,mode,outcome,palette_used,bound_palette,achieved,seconds"
     )
+
+
+@pytest.mark.parametrize("t", ["1", "0", "-3"])
+def test_corpus_refuses_t_below_two(runner, t):
+    res = runner.invoke(main, ["corpus", "--sweep", "cycle:4-5", "--t", t])
+    assert res.exit_code == 4, res.output
+    assert "t must be >= 2" in res.output
+
+
+@pytest.mark.parametrize("builder, small, spec", [
+    ("cycle", "cycle:3-4", "cycle:1001-1001"),
+    ("cycle", "cycle:3-4", "cycle:3-1200"),
+    ("random_graph", "random:3,0.5,1", "random:1500,0.001,1"),
+    ("complete_bipartite", "complete_bipartite:1,1", "complete_bipartite:500,501"),
+])
+def test_corpus_refuses_oversized_sweeps_before_building(
+        runner, monkeypatch, builder, small, spec):
+    from oddminorkit import cli
+
+    def must_not_build(*args):
+        raise AssertionError(f"{builder} was called for {spec}")
+
+    monkeypatch.setattr(cli, builder, must_not_build)
+    # the small spec ahead of the oversized one is not built either
+    res = runner.invoke(main, ["corpus", "--sweep", small, "--sweep", spec, "--t", "2"])
+    assert res.exit_code == 4, res.output
+    assert "limit" in res.output

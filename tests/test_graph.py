@@ -20,6 +20,7 @@ from oddminorkit import (
     to_edgelist,
     to_graph6,
 )
+from oddminorkit.graph import bits
 
 import oracles
 
@@ -38,7 +39,7 @@ def test_basic_accessors():
     assert G.has_edge(0, 1) and G.has_edge(1, 0)
     assert not G.has_edge(0, 3)
     assert G.degree(1) == 2
-    assert G.neighbors(2) == {1, 3}
+    assert G.adj_mask(2) == 0b1010
     assert sorted(G.edges()) == [(0, 1), (1, 2), (2, 3)]
 
 
@@ -146,8 +147,27 @@ def test_components_partition(G):
     for c in comps:
         assert G.is_connected_subset(c)
         # maximality: no edge leaves the component
+        cmask = sum(1 << v for v in c)
         for v in c:
-            assert G.neighbors(v) <= set(c)
+            assert G.adj_mask(v) & ~cmask == 0
+
+
+@given(graphs(), st.data())
+def test_reach_is_the_components_meeting_seed(G, data):
+    vertex_sets = st.sets(st.integers(0, max(G.n - 1, 0)), max_size=G.n)
+    within = set(data.draw(vertex_sets))
+    seed = set(data.draw(vertex_sets))
+    H = oracles.nxg(G).subgraph(within)
+    want = set().union(*(c for c in nx.connected_components(H) if c & seed))
+    to_mask = lambda vs: sum(1 << v for v in vs)
+    assert set(bits(G.reach(to_mask(seed), to_mask(within)))) == want
+
+
+@given(st.integers(0, 2**70))
+def test_bits_lists_set_bits_ascending(mask):
+    vs = bits(mask)
+    assert vs == sorted(vs) and sum(1 << v for v in vs) == mask
+    assert len(vs) == mask.bit_count()
 
 
 @given(graphs(max_n=7))

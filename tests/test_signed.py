@@ -17,6 +17,7 @@ from oddminorkit import (
     signatures_equivalent,
     verify_signed_minor_model,
 )
+from oddminorkit.graph import bits
 
 import oracles
 
@@ -44,7 +45,7 @@ def fundamental_cycles(G):
         stack = [root]
         while stack:
             v = stack.pop()
-            for w in G.neighbors(v):
+            for w in bits(G.adj_mask(v)):
                 if w not in parent:
                     parent[w] = v
                     depth[w] = depth[v] + 1

@@ -17,6 +17,7 @@ from oddminorkit import (
     verify_subdivision,
 )
 from oddminorkit.graph import SizeLimitError
+from oddminorkit.subdivision import _paths_between
 
 import oracles
 
@@ -102,6 +103,25 @@ def test_detector_matches_brute_force(seed):
     if got is not None:
         ok, reason = verify_subdivision(G, got, require_bipartite=True)
         assert ok, reason
+
+
+@given(st.integers(0, 200))
+def test_paths_between_yields_the_simple_paths_shortest_first(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 8)
+    G = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                  if rng.random() < 0.45])
+    a, b = rng.sample(range(n), 2)
+    # ends may be forbidden too, as the branch vertices are when routing
+    forbidden = frozenset(v for v in range(n) if rng.random() < 0.25)
+    parity = rng.choice([None, 0, 1])
+    got = [p.vertices for p in _paths_between(G, a, b, forbidden, parity)]
+    want = [tuple(p) for p in oracles.all_simple_paths_between(G, a, b)
+            if not forbidden & set(p[1:-1])
+            and (parity is None or (len(p) - 1) % 2 == parity)]
+    assert sorted(got) == sorted(want)
+    lengths = [len(p) - 1 for p in got]
+    assert lengths == sorted(lengths)
 
 
 def test_interior_bound_keeps_the_search_exact():
