@@ -12,6 +12,7 @@ from .graph import (
     TwoColoring,
     bipartition,
     blocks,
+    complete,
     find_odd_cycle,
     find_small_separation,
     parse_graph,
@@ -31,7 +32,6 @@ from .signed import (
 )
 from .oddminor import (
     OddMinorModel,
-    ParityQuery,
     find_odd_clique_minor,
     has_clique_minor,
     is_parity_breaking,
@@ -69,7 +69,6 @@ from .coloring import (
 )
 from .generators import (
     chorded_subdivision,
-    complete,
     complete_bipartite,
     cycle,
     join_subdivision,

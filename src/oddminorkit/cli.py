@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import sys
 import time
@@ -21,7 +22,6 @@ from .coloring import OddMinorFoundError, bound_N, color_clustered, color_defect
 from .erdosposa import odd_s_paths_dichotomy
 from .generators import (
     chorded_subdivision,
-    complete,
     complete_bipartite,
     cycle,
     join_subdivision,
@@ -32,6 +32,7 @@ from .graph import (
     Graph,
     GraphError,
     SizeLimitError,
+    complete,
     parse_graph,
     to_dimacs,
     to_edgelist,
@@ -219,7 +220,7 @@ def detect(graph: str, fmt: str, mode: str, t: int, s: Optional[int],
             if model is None:
                 _write("absent", out)
                 return
-            Kt = Graph(t, [(i, j) for i in range(t) for j in range(i + 1, t)])
+            Kt = complete(t)
             cert = certs.certify_odd_minor_model(G, Kt, model)
         elif mode == "subdivision":
             if s is None:
@@ -235,7 +236,7 @@ def detect(graph: str, fmt: str, mode: str, t: int, s: Optional[int],
             if t > G.n:
                 _write("absent", out)
                 return
-            Kt = Graph(t, [(i, j) for i in range(t) for j in range(i + 1, t)])
+            Kt = complete(t)
             model = find_signed_minor(G, Kt, sig, limit=limit)
             if model is None:
                 _write("absent", out)
@@ -288,7 +289,7 @@ def color(graph: str, fmt: str, t: int, mode: str, trace: bool,
     try:
         assignment, value, bound, tr = _color_once(G, t, mode, trace)
     except OddMinorFoundError as e:
-        Kt = Graph(t, [(i, j) for i in range(t) for j in range(i + 1, t)])
+        Kt = complete(t)
         cert = certs.certify_odd_minor_model(G, Kt, e.model)
         _write(certs.serialize_certificate(cert), out)
         sys.exit(EXIT_CERTIFICATE)
@@ -336,7 +337,7 @@ def decompose(graph: str, fmt: str, t: int, limit: Optional[int], out: Optional[
     if isinstance(result, Decomposition):
         _write(certs.serialize_certificate(certs.certify_decomposition(G, t, result)), out)
         return
-    Kt = Graph(t, [(i, j) for i in range(t) for j in range(i + 1, t)])
+    Kt = complete(t)
     _write(certs.serialize_certificate(certs.certify_odd_minor_model(G, Kt, result)), out)
     sys.exit(EXIT_CERTIFICATE)
 
@@ -454,24 +455,27 @@ def corpus(graphs: tuple[str, ...], sweep: tuple[str, ...], fmt: str, t: int,
     """
     if t < 2:
         sys.exit(_fail("t must be >= 2"))
-    instances: list[tuple[str, Graph]] = []
     try:
         specs = [(sw, *_sweep_instances(sw, seed)) for sw in sweep]
         for sw, n, _ in specs:
             if n > MAX_VERTICES:
                 raise ValueError(f"sweep {sw} would have up to {n} vertices, "
                                  f"more than the limit of {MAX_VERTICES}")
-        for path in graphs:
-            instances.append((path, _read_graph(path, fmt)))
+        instances = [(path, _read_graph(path, fmt)) for path in graphs]
+        sweeps = []
         for _, _, pairs in specs:
-            instances.extend(pairs)
+            # a sweep's first graph fails iff one of its graphs would, so
+            # building it checks the spec; the rest are built when due
+            first = next(pairs, None)
+            if first is not None:
+                sweeps.append(itertools.chain([first], pairs))
     except ValueError as e:
         sys.exit(_fail(str(e)))
     bound = 6 * t - 9 if mode == "defective" else 10 * t - 13
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
-    for label, G in instances:
+    for label, G in itertools.chain(instances, *sweeps):
         t0 = time.perf_counter()
         palette = achieved = ""
         try:

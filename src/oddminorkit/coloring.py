@@ -320,7 +320,7 @@ def _maybe_precheck(G: Graph, t: int, precheck: Optional[bool]) -> None:
         precheck = G.n <= 10
     # every odd K_t (t >= 3) holds an odd K_3, which exists iff G is not bipartite
     if precheck and not (t >= 3 and bipartition(G) is not None):
-        model = find_odd_clique_minor(G, t, limit=G.n)
+        model = find_odd_clique_minor(G, t)
         if model is not None:
             raise OddMinorFoundError(t, model)
 

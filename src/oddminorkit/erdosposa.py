@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .graph import Graph, Path, SizeLimitError, default_limit
+from .graph import Graph, Path, check_size
 from .subdivision import SubdivisionEmbedding, verify_subdivision
 
 DEFAULT_EP_LIMIT = 20
@@ -191,13 +191,11 @@ class _PathEngine:
 
 
 def _dichotomy(
-    G: Graph, eng: _PathEngine, l: int, limit: Optional[int]
+    G: Graph, eng: _PathEngine, l: int, limit: Optional[int], layer: str
 ) -> PackingCoverResult:
     if l < 1:
         raise ValueError("l must be >= 1")
-    lim = default_limit(DEFAULT_EP_LIMIT) if limit is None else limit
-    if G.n > lim:
-        raise SizeLimitError(f"graph has {G.n} > {lim} vertices")
+    check_size(G, limit, layer, DEFAULT_EP_LIMIT)
     packing = eng.pack(0, l)
     if packing is not None:
         return PackingCoverResult(packing=packing)
@@ -235,7 +233,7 @@ def odd_s_paths_dichotomy(
     lexicographic order, so the result is deterministic. S must hold vertex
     ids of G.
     """
-    return _dichotomy(G, _PathEngine(G, S), l, limit)
+    return _dichotomy(G, _PathEngine(G, S), l, limit, "odd_s_paths_dichotomy")
 
 
 def parity_breaking_dichotomy(
@@ -253,4 +251,5 @@ def parity_breaking_dichotomy(
     beta = emb.host_coloring(G.n)
     assert beta is not None
     ones = [c for c in emb.C if beta(c) == 1]
-    return _dichotomy(G, _PathEngine(G, emb.C, ones), l, limit)
+    return _dichotomy(G, _PathEngine(G, emb.C, ones), l, limit,
+                      "parity_breaking_dichotomy")

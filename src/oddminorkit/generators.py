@@ -5,22 +5,16 @@ from __future__ import annotations
 import random
 from typing import Union
 
-from .graph import Graph, Path
-from .oddminor import ParityQuery, is_parity_breaking
+# complete lives in graph and is re-exported
+from .graph import Graph, Path, complete, _norm_edge
+from .oddminor import is_parity_breaking
 from .subdivision import (
     SubdivisionEmbedding,
     join_pattern_edges,
     verify_subdivision,
 )
-from .graph import _norm_edge
 
 Edge = tuple[int, int]
-
-
-def complete(n: int) -> Graph:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
@@ -114,7 +108,7 @@ def chorded_subdivision(
     assert beta is not None
     for p in chords:
         assert p.is_path_of(G)
-        assert is_parity_breaking(ParityQuery(p, beta))
+        assert is_parity_breaking(p, beta)
     ok, reason = verify_subdivision(G, emb, require_bipartite=True)
     assert ok, reason
     return G, emb, tuple(chords)

@@ -28,15 +28,22 @@ class SizeLimitError(RuntimeError):
 MAX_VERTICES = 1000
 
 
-def default_limit(fallback: int = 14) -> int:
-    """Size guard for the exhaustive searches; ODDMINOR_LIMIT overrides."""
-    env = os.environ.get("ODDMINOR_LIMIT")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return fallback
+def check_size(G: Graph, limit: Optional[int], layer: str, fallback: int = 14) -> int:
+    """The size guard of every exhaustive search. When G has more than limit
+    vertices it raises SizeLimitError, which names the layer, the size and
+    the limit. A limit of None reads ODDMINOR_LIMIT, else the layer's
+    fallback. Returns the limit in force."""
+    if limit is None:
+        limit = fallback
+        env = os.environ.get("ODDMINOR_LIMIT")
+        if env:
+            try:
+                limit = int(env)
+            except ValueError:
+                pass
+    if G.n > limit:
+        raise SizeLimitError(f"{layer}: graph has {G.n} > {limit} vertices")
+    return limit
 
 
 def _norm_edge(u: int, v: int) -> tuple[int, int]:
@@ -176,6 +183,13 @@ class Graph:
         for v in vs:
             within |= 1 << v
         return self.reach(within & -within, within) == within
+
+
+def complete(n: int) -> Graph:
+    """The complete graph K_n."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 # ---------------------------------------------------------------------------

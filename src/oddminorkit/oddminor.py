@@ -7,50 +7,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .graph import (
-    Graph, Path, SizeLimitError, TwoColoring, bipartition, default_limit, _norm_edge,
-)
-from .signed import _has_clique_minor, find_signed_minor
+from .graph import Graph, Path, TwoColoring, check_size, complete, _norm_edge
+# has_clique_minor, the unsigned pretest, lives in signed and is re-exported
+from .signed import _tree_fault, find_signed_minor, has_clique_minor
 
 Edge = tuple[int, int]
 Connector = Union[Edge, Path]
 
 
-@dataclass(frozen=True)
-class ParityQuery:
-    """A path together with the coloring it is measured against.
-
-    reference: either a two-coloring whose domain contains both endpoints, or
-    a connected bipartite graph sharing vertex ids with the path's host (its
-    proper 2-coloring, unique up to swapping colors, is used).
-    """
-
-    path: Path
-    reference: Union[TwoColoring, Graph]
-
-
-def is_parity_breaking(q: ParityQuery) -> bool:
+def is_parity_breaking(path: Path, alpha: TwoColoring) -> bool:
     """True iff the path's length differs in parity from the color gap of its
-    ends: |E(P)| != alpha(u) - alpha(v) (mod 2)."""
-    u, v = q.path.ends
+    ends: |E(P)| != alpha(u) - alpha(v) (mod 2). Both ends must be colored."""
+    u, v = path.ends
     if u == v:
         raise ValueError("path endpoints must be distinct")
-    ref = q.reference
-    if isinstance(ref, Graph):
-        beta = bipartition(ref)
-        if beta is None:
-            raise ValueError("reference graph is not bipartite")
-        domain = {w for w in ref.vertices() if ref.degree(w) > 0}
-        if len(ref.components()) - (ref.n - len(domain)) != 1:
-            raise ValueError("reference graph must be connected")
-        if u not in domain or v not in domain:
-            raise ValueError("path endpoint outside reference graph")
-        alpha = beta
-    else:
-        alpha = ref
-        if u not in alpha.domain or v not in alpha.domain:
-            raise ValueError("path endpoint outside coloring domain")
-    return (q.path.length - (alpha(u) - alpha(v))) % 2 == 1
+    if u not in alpha.color or v not in alpha.color:
+        raise ValueError("path endpoint outside coloring domain")
+    return (path.length - (alpha(u) - alpha(v))) % 2 == 1
 
 
 @dataclass(frozen=True)
@@ -79,27 +52,10 @@ def verify_odd_minor_model(
     G: Graph, H: Graph, model: OddMinorModel
 ) -> tuple[bool, str]:
     """Check every model condition; returns (ok, reason)."""
-    if set(model.trees) != set(H.vertices()):
-        return False, "tree-map-domain"
-    union: set[int] = set()
-    for u in H.vertices():
-        vs = model.trees[u]
-        if not vs:
-            return False, "empty-tree"
-        vset = set(vs)
-        if len(vset) != len(vs) or any(not 0 <= v < G.n for v in vs):
-            return False, "tree-vertices-invalid"
-        if vset & union:
-            return False, "overlapping-trees"
-        union |= vset
-        te = model.tree_edges.get(u, ())
-        if len(te) != len(vs) - 1:
-            return False, "tree-not-acyclic"
-        for a, b in te:
-            if a not in vset or b not in vset or not G.has_edge(a, b):
-                return False, "tree-edge-invalid"
-        if len(vs) > 1 and not Graph(G.n, te).is_connected_subset(vs):
-            return False, "tree-not-connected"
+    fault = _tree_fault(G, H, model.trees, model.tree_edges)
+    if fault is not None:
+        return False, fault
+    union: set[int] = set().union(*model.trees.values())
     alpha = model.alpha
     if set(alpha.domain) != union:
         return False, "alpha-domain"
@@ -133,7 +89,7 @@ def verify_odd_minor_model(
                 a, b = b, a
             if a not in tu or b not in tv:
                 return False, "connector-endpoints"
-            if not is_parity_breaking(ParityQuery(p, alpha)):
+            if not is_parity_breaking(p, alpha):
                 return False, "connector-parity"
             inner = set(p.vertices[1:-1])
             if inner & union or inner & interiors:
@@ -142,39 +98,30 @@ def verify_odd_minor_model(
     return True, "ok"
 
 
-def has_clique_minor(G: Graph, t: int) -> bool:
-    """Unsigned K_t minor test by exhaustive connected-partition search."""
-    return _has_clique_minor(G, t)
-
-
 def find_odd_clique_minor(
     G: Graph, t: int, limit: Optional[int] = None
 ) -> Optional[OddMinorModel]:
     """Exhaustive search for an odd K_t minor model (edge-form connectors).
 
-    This is `find_signed_minor` for (K_t, all edges negative): an unsigned
-    K_t minor test runs first, branch sets are taken in increasing minimum
-    vertex and by increasing total size, so the first hit is a smallest
-    witness. alpha is the union of the tree colorings and the connectors
-    are the edge witnesses.
+    This is `find_signed_minor` for (K_t, all edges negative), which asserts
+    its model before returning it: an unsigned K_t minor test runs first,
+    branch sets are taken in increasing minimum vertex and by increasing
+    total size, so the first hit is a smallest witness. The renaming keeps
+    the model valid: alpha is the union of the tree colorings, proper on
+    each tree, and the connectors are the edge witnesses, monochromatic.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    lim = default_limit() if limit is None else limit
-    if G.n > lim:
-        raise SizeLimitError(f"graph has {G.n} > {lim} vertices")
+    lim = check_size(G, limit, "find_odd_clique_minor")
     if G.n < t:
         return None
-    Kt = Graph(t, [(i, j) for i in range(t) for j in range(i + 1, t)])
+    Kt = complete(t)
     signed = find_signed_minor(G, Kt, Kt.edges(), limit=lim)
     if signed is None:
         return None
     alpha = TwoColoring(
         {v: c for col in signed.tree_colorings.values() for v, c in col.items()})
-    model = OddMinorModel(signed.trees, signed.tree_edges, alpha, signed.edge_witness)
-    ok, reason = verify_odd_minor_model(G, Kt, model)
-    assert ok, reason
-    return model
+    return OddMinorModel(signed.trees, signed.tree_edges, alpha, signed.edge_witness)
 
 
 def relabel_model(model: OddMinorModel, old_ids) -> OddMinorModel:

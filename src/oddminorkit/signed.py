@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graph import Graph, Path, SizeLimitError, bits, default_limit, _norm_edge
+from .graph import Graph, Path, bits, check_size, _norm_edge
 
 Edge = tuple[int, int]
 
@@ -117,6 +117,41 @@ class SignedMinorModel:
     edge_witness: dict[Edge, Edge]
 
 
+def _tree_fault(
+    G: Graph, H: Graph, trees: dict[int, tuple[int, ...]],
+    tree_edges: dict[int, tuple[Edge, ...]],
+) -> Optional[str]:
+    """Why trees/tree_edges are not pairwise disjoint subtrees of G, one per
+    vertex of H, or None when they are. Shared by both model verifiers."""
+    if set(trees) != set(H.vertices()):
+        return "tree-map-domain"
+    seen: set[int] = set()
+    for u in H.vertices():
+        vs = trees[u]
+        if not vs:
+            return "empty-tree"
+        vset = set(vs)
+        if len(vset) != len(vs):
+            return "repeated-tree-vertex"
+        if vset & seen:
+            return "overlapping-trees"
+        seen |= vset
+        if any(not 0 <= v < G.n for v in vs):
+            return "tree-vertex-out-of-range"
+        te = tree_edges.get(u, ())
+        if len(te) != len(vs) - 1:
+            return "tree-not-acyclic"
+        for a, b in te:
+            if a not in vset or b not in vset or not G.has_edge(a, b):
+                return "tree-edge-invalid"
+        # a repeated edge meets the |V| - 1 count but spans no tree
+        if len({_norm_edge(a, b) for a, b in te}) != len(te):
+            return "tree-not-acyclic"
+        if len(vs) > 1 and not Graph(G.n, te).is_connected_subset(vs):
+            return "tree-not-connected"
+    return None
+
+
 def verify_signed_minor_model(
     G: Graph, H: Graph, sigma_h: Iterable[Edge], model: SignedMinorModel
 ) -> tuple[bool, str]:
@@ -125,33 +160,15 @@ def verify_signed_minor_model(
     for e in sigma:
         if not H.has_edge(*e):
             return False, "signature-not-in-H"
-    if set(model.trees) != set(H.vertices()):
-        return False, "tree-map-domain"
-    seen: set[int] = set()
+    fault = _tree_fault(G, H, model.trees, model.tree_edges)
+    if fault is not None:
+        return False, fault
     for u in H.vertices():
         vs = model.trees[u]
-        if not vs:
-            return False, "empty-tree"
-        vset = set(vs)
-        if len(vset) != len(vs):
-            return False, "repeated-tree-vertex"
-        if vset & seen:
-            return False, "overlapping-trees"
-        seen |= vset
-        if any(not 0 <= v < G.n for v in vs):
-            return False, "tree-vertex-out-of-range"
-        te = model.tree_edges[u]
-        if len(te) != len(vs) - 1:
-            return False, "tree-not-acyclic"
-        for a, b in te:
-            if a not in vset or b not in vset or not G.has_edge(a, b):
-                return False, "tree-edge-invalid"
-        if len(vs) > 1 and not Graph(G.n, te).is_connected_subset(vs):
-            return False, "tree-not-connected"
         c = model.tree_colorings[u]
-        if set(c) != vset or any(c[v] not in (1, 2) for v in vs):
+        if set(c) != set(vs) or any(c[v] not in (1, 2) for v in vs):
             return False, "coloring-domain"
-        if any(c[a] == c[b] for a, b in te):
+        if any(c[a] == c[b] for a, b in model.tree_edges.get(u, ())):
             return False, "coloring-not-proper"
     if set(model.edge_witness) != set(_edge_set(H.edges())):
         return False, "witness-map-domain"
@@ -264,7 +281,7 @@ def _spanning_tree_of_disagreement(G: Graph, mask: int, c: int) -> list[Edge]:
     return edges
 
 
-def _has_clique_minor(G: Graph, t: int, conn: Optional[list[int]] = None) -> bool:
+def has_clique_minor(G: Graph, t: int, conn: Optional[list[int]] = None) -> bool:
     """Unsigned K_t minor test: t disjoint, pairwise adjacent connected
     subsets, taken in increasing minimum vertex. conn, when given, is
     _connected_subsets(G)."""
@@ -318,9 +335,7 @@ def find_signed_minor(
     reordering of a model's branch sets is a model, so they are taken in
     increasing minimum vertex. An odd K_t minor is the case (K_t, E(K_t)).
     """
-    lim = default_limit() if limit is None else limit
-    if G.n > lim:
-        raise SizeLimitError(f"graph has {G.n} > {lim} vertices")
+    check_size(G, limit, "find_signed_minor")
     sigma = _edge_set(sigma_h)
     for e in sigma:
         if not H.has_edge(*e):
@@ -332,7 +347,7 @@ def find_signed_minor(
         return None
     conn = _connected_subsets(G)
     complete = H.m == h * (h - 1) // 2
-    if complete and not _has_clique_minor(G, h, conn):
+    if complete and not has_clique_minor(G, h, conn):
         return None
     symmetric = complete and len(sigma) in (0, H.m)
     # links[i]: (j, negative) for each pattern edge ji with j < i

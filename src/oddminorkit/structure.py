@@ -7,8 +7,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .graph import Graph, Path, TwoColoring, bipartition, blocks
-from .oddminor import OddMinorModel, ParityQuery, is_parity_breaking, verify_odd_minor_model
+from .graph import Graph, Path, TwoColoring, bipartition, blocks, complete
+from .oddminor import OddMinorModel, is_parity_breaking, verify_odd_minor_model
 from .erdosposa import labelled_s_paths, parity_breaking_dichotomy
 from .subdivision import (
     SubdivisionEmbedding,
@@ -131,7 +131,7 @@ def build_odd_clique_model(
         a, b = p.ends
         if a not in C or b not in C:
             raise ValueError("input path is not a C-path")
-        if not is_parity_breaking(ParityQuery(p, beta)):
+        if not is_parity_breaking(p, beta):
             raise ValueError("input path is not parity-breaking")
         if used_check & set(p.vertices):
             raise ValueError("input paths are not vertex-disjoint")
@@ -267,8 +267,7 @@ def build_odd_clique_model(
         alpha=TwoColoring(alpha),
         connectors=connectors,
     )
-    Kt = Graph(t, [(i, j) for i in range(t) for j in range(i + 1, t)])
-    ok, reason = verify_odd_minor_model(G, Kt, model)
+    ok, reason = verify_odd_minor_model(G, complete(t), model)
     assert ok, reason
     return model
 

@@ -6,9 +6,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .graph import (
-    Graph, Path, SizeLimitError, TwoColoring, bipartition, default_limit, _norm_edge,
-)
+from .graph import Graph, Path, TwoColoring, bipartition, check_size, _norm_edge
 
 Edge = tuple[int, int]
 
@@ -161,9 +159,7 @@ def find_bipartite_join_subdivision(
     """
     if s < 1 or t < 0:
         raise ValueError("need s >= 1 and t >= 0")
-    lim = default_limit(DEFAULT_SUBDIVISION_LIMIT) if limit is None else limit
-    if G.n > lim:
-        raise SizeLimitError(f"graph has {G.n} > {lim} vertices")
+    check_size(G, limit, "find_bipartite_join_subdivision", DEFAULT_SUBDIVISION_LIMIT)
     if G.n < s + t:
         return None
     by_degree = sorted(G.vertices(), key=lambda v: -G.degree(v))

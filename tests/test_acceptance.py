@@ -21,6 +21,7 @@ from oddminorkit import (
     chorded_subdivision,
     color_clustered,
     color_defective,
+    complete,
     complete_bipartite,
     cut_edges,
     find_odd_clique_minor,
@@ -45,7 +46,7 @@ from test_signed import fundamental_cycles
 
 
 def Kt(t):
-    return Graph(t, [(i, j) for i in range(t) for j in range(i + 1, t)])
+    return complete(t)
 
 
 def all_graphs(n):
@@ -68,19 +69,25 @@ def report(num, workload, t0, budget):
 
 def test_criterion_01_odd_k3_iff_non_bipartite():
     t0 = time.time()
+    K3 = Kt(3)
+
+    def agrees(G):
+        # every model found is checked, so the detector's renaming of the
+        # signed model is verified on every host
+        model = find_odd_clique_minor(G, 3)
+        assert (model is None) == (bipartition(G) is not None), G
+        if model is not None:
+            ok, reason = verify_odd_minor_model(G, K3, model)
+            assert ok, (G, reason)
+
     checked = 0
     for n in range(1, 7):
         for G in all_graphs(n):
-            assert (find_odd_clique_minor(G, 3) is None) == (
-                bipartition(G) is not None
-            ), G
+            agrees(G)
             checked += 1
     rng = random.Random(1)
     for i in range(10_000):
-        G = random_graph(8, rng.choice((0.2, 0.35, 0.5, 0.7)), seed=i)
-        assert (find_odd_clique_minor(G, 3) is None) == (
-            bipartition(G) is not None
-        ), G
+        agrees(random_graph(8, rng.choice((0.2, 0.35, 0.5, 0.7)), seed=i))
     report(1, f"{checked} exhaustive n<=6 + 10000 random n=8, 0 disagreements",
            t0, 600)
 

@@ -8,6 +8,9 @@ import pytest
 from oddminorkit import (
     CertificateError,
     Graph,
+    OddMinorModel,
+    SignedMinorModel,
+    TwoColoring,
     certify_coloring,
     certify_cover,
     certify_decomposition,
@@ -35,7 +38,7 @@ from oddminorkit.structure import Decomposition
 
 
 def Kt(t):
-    return Graph(t, [(i, j) for i in range(t) for j in range(i + 1, t)])
+    return complete(t)
 
 
 def roundtrip(G, cert):
@@ -227,3 +230,17 @@ def test_subdivision_sizes_are_checked_before_use():
 def test_json_the_decoder_refuses_is_a_certificate_error(text):
     with pytest.raises(CertificateError):
         parse_certificate(text)
+
+
+def test_a_repeated_tree_edge_is_a_soft_failure():
+    # tree {0, 1, 2} with the edge 01 twice: |V| - 1 edges, but no tree
+    G, H = complete(4), complete(2)
+    trees, tree_edges = {0: (0, 1, 2), 1: (3,)}, {0: ((0, 1), (0, 1)), 1: ()}
+    odd = OddMinorModel(trees, tree_edges, TwoColoring({0: 1, 1: 2, 2: 2, 3: 2}),
+                        {(0, 1): (2, 3)})
+    signed = SignedMinorModel(trees, tree_edges, {0: {0: 1, 1: 2, 2: 2}, 1: {3: 2}},
+                              {(0, 1): (2, 3)})
+    for cert in (certify_odd_minor_model(G, H, odd),
+                 certify_signed_minor_model(G, H, [(0, 1)], signed)):
+        again = parse_certificate(serialize_certificate(cert))
+        assert verify_certificate(G, again) == (False, "tree-not-acyclic")

@@ -104,13 +104,13 @@ def test_detect_signed_mode_checks_sizes_before_building_k_t(
         runner, tmp_path, monkeypatch):
     from oddminorkit import cli
 
-    real = cli.Graph
+    real = cli.complete
 
-    def graph_no_larger_than_c5(n, edges=()):
+    def pattern_no_larger_than_c5(n):
         assert n <= 5, f"built a {n}-vertex pattern for a 5-vertex graph"
-        return real(n, edges)
+        return real(n)
 
-    monkeypatch.setattr(cli, "Graph", graph_no_larger_than_c5)
+    monkeypatch.setattr(cli, "complete", pattern_no_larger_than_c5)
     c5 = write_graph(tmp_path, cycle(5))
     args = ["detect", c5, "--mode", "signed", "--t", "200", "--sigma"]
     res = runner.invoke(main, args + ["[[0, 199]]"])
@@ -134,8 +134,18 @@ def test_size_guard_exit_code(runner, tmp_path):
     big = write_graph(tmp_path, Graph(18, []))
     res = runner.invoke(main, ["detect", big, "--t", "2"])
     assert res.exit_code == 3
+    assert "find_odd_clique_minor" in res.output and "18 > 14" in res.output
     res = runner.invoke(main, ["detect", big, "--t", "2", "--limit", "18"])
     assert res.exit_code == 0
+
+
+def test_color_precheck_obeys_the_size_guard(runner, tmp_path, monkeypatch):
+    # the default precheck runs on C5; a guard below its size exits 3
+    monkeypatch.setenv("ODDMINOR_LIMIT", "4")
+    c5 = write_graph(tmp_path, cycle(5))
+    res = runner.invoke(main, ["color", c5, "--t", "3"])
+    assert res.exit_code == 3
+    assert "find_odd_clique_minor: graph has 5 > 4 vertices" in res.output
 
 
 def test_missing_input_is_an_input_error(runner, tmp_path):
@@ -334,3 +344,32 @@ def test_corpus_refuses_oversized_sweeps_before_building(
     res = runner.invoke(main, ["corpus", "--sweep", small, "--sweep", spec, "--t", "2"])
     assert res.exit_code == 4, res.output
     assert "limit" in res.output
+
+
+def test_corpus_builds_each_sweep_graph_when_its_row_is_due(runner, monkeypatch):
+    from oddminorkit import cli
+
+    events = []
+    real_build, real_color = cli.random_graph, cli._color_once
+
+    def build(n, p, seed):
+        events.append(f"build {seed}")
+        return real_build(n, p, seed)
+
+    def color(G, *args):
+        events.append("color")
+        return real_color(G, *args)
+
+    monkeypatch.setattr(cli, "random_graph", build)
+    monkeypatch.setattr(cli, "_color_once", color)
+    res = runner.invoke(main, ["corpus", "--sweep", "random:6,0.3,4", "--t", "3"])
+    assert res.exit_code == 0, res.output
+    assert len(res.output.strip().split("\n")) == 5
+    assert events == [e for k in range(4) for e in (f"build {k}", "color")]
+
+
+@pytest.mark.parametrize("spec", ["cycle:2-5", "random:5,x,3", "random:5,1.5,3"])
+def test_corpus_refuses_a_bad_sweep_before_any_row(runner, spec):
+    res = runner.invoke(main, ["corpus", "--sweep", "cycle:3-4", "--sweep", spec, "--t", "3"])
+    assert res.exit_code == 4, res.output
+    assert "instance," not in res.output

@@ -11,10 +11,12 @@ from oddminorkit import (
     ColoringAssignment,
     Graph,
     OddMinorFoundError,
+    SizeLimitError,
     bound_M,
     bound_N,
     color_clustered,
     color_defective,
+    complete,
     complete_bipartite,
     cycle,
     find_odd_clique_minor,
@@ -36,7 +38,7 @@ import oracles
 
 
 def Kt(t):
-    return Graph(t, [(i, j) for i in range(t) for j in range(i + 1, t)])
+    return complete(t)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +201,16 @@ def test_bipartite_shortcut_matches_the_exhaustive_oracle():
             assert find_odd_clique_minor(G, t) is None
             for color in (color_defective, color_clustered):
                 assert color(G, t) == color(G, t, precheck=False)
+
+
+def test_precheck_obeys_the_size_guard(monkeypatch):
+    # a non-bipartite 20-vertex host: the exhaustive search is refused at once
+    monkeypatch.delenv("ODDMINOR_LIMIT", raising=False)
+    G = random_graph(20, 0.25, 0)
+    assert bipartition(G) is None
+    with pytest.raises(SizeLimitError) as e:
+        color_defective(G, 4, precheck=True)
+    assert str(e.value) == "find_odd_clique_minor: graph has 20 > 14 vertices"
 
 
 def test_trace_reports_recursion_cases():

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from oddminorkit import (
     Graph,
     PackingCoverResult,
-    ParityQuery,
     Path,
     chorded_subdivision,
     complete,
@@ -147,7 +146,7 @@ def all_parity_breaking_c_paths(G, emb):
         for j in range(i + 1, len(C)):
             for p in oracles.all_simple_paths_between(G, C[i], C[j]):
                 q = Path(tuple(p))
-                if is_parity_breaking(ParityQuery(q, beta)):
+                if is_parity_breaking(q, beta):
                     out.append(q)
     return out
 
@@ -165,7 +164,7 @@ def test_parity_breaking_dichotomy_on_chorded_instances(seed):
         used: set = set()
         for p in res.packing:
             assert p.is_path_of(G)
-            assert is_parity_breaking(ParityQuery(p, beta))
+            assert is_parity_breaking(p, beta)
             assert p.ends[0] in emb.C and p.ends[1] in emb.C
             assert not used & set(p.vertices)
             used |= set(p.vertices)
@@ -193,3 +192,14 @@ def test_one_subdivided_join_needs_explicit_limit():
         parity_breaking_dichotomy(G, emb, 2)
     res = parity_breaking_dichotomy(G, emb, 2, limit=40)
     assert not res.is_packing and res.cover == frozenset()
+
+
+def test_size_guard_message_names_layer_size_and_limit(monkeypatch):
+    monkeypatch.delenv("ODDMINOR_LIMIT", raising=False)
+    with pytest.raises(SizeLimitError) as e:
+        odd_s_paths_dichotomy(Graph(21), {0, 1}, 1)
+    assert str(e.value) == "odd_s_paths_dichotomy: graph has 21 > 20 vertices"
+    G, emb = join_subdivision(4, 3, 1)  # 25 vertices
+    with pytest.raises(SizeLimitError) as e:
+        parity_breaking_dichotomy(G, emb, 2)
+    assert str(e.value) == "parity_breaking_dichotomy: graph has 25 > 20 vertices"

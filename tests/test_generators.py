@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oddminorkit import (
-    ParityQuery,
     chorded_subdivision,
     complete,
     complete_bipartite,
@@ -62,7 +61,7 @@ def test_chorded_subdivision_contract(seed):
     for p in chords:
         assert p.is_path_of(G)
         assert p.ends[0] in emb.C and p.ends[1] in emb.C
-        assert is_parity_breaking(ParityQuery(p, beta))
+        assert is_parity_breaking(p, beta)
         assert not used & set(p.vertices)
         used |= set(p.vertices)
 

@@ -11,6 +11,7 @@ from oddminorkit import (
     Graph,
     GraphError,
     Path,
+    SizeLimitError,
     bipartition,
     blocks,
     find_odd_cycle,
@@ -20,7 +21,7 @@ from oddminorkit import (
     to_edgelist,
     to_graph6,
 )
-from oddminorkit.graph import bits
+from oddminorkit.graph import bits, check_size
 
 import oracles
 
@@ -225,3 +226,17 @@ def test_path_parity_and_edges():
     assert p.edge_set() == {(1, 3), (0, 1), (0, 2)}
     with pytest.raises(Exception):
         Path((0, 1, 0))
+
+
+def test_check_size_reads_the_limit_then_the_env_then_the_fallback(monkeypatch):
+    monkeypatch.delenv("ODDMINOR_LIMIT", raising=False)
+    assert check_size(Graph(14), None, "layer") == 14
+    assert check_size(Graph(30), None, "layer", fallback=30) == 30
+    assert check_size(Graph(40), 40, "layer") == 40
+    monkeypatch.setenv("ODDMINOR_LIMIT", "not-a-number")
+    assert check_size(Graph(14), None, "layer") == 14
+    monkeypatch.setenv("ODDMINOR_LIMIT", "3")
+    assert check_size(Graph(9), 9, "layer") == 9
+    with pytest.raises(SizeLimitError) as e:
+        check_size(Graph(4), None, "layer", fallback=30)
+    assert str(e.value) == "layer: graph has 4 > 3 vertices"

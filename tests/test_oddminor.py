@@ -8,9 +8,10 @@ from hypothesis import given, strategies as st
 from oddminorkit import (
     Graph,
     OddMinorModel,
-    ParityQuery,
     Path,
     TwoColoring,
+    bipartition,
+    complete,
     find_odd_clique_minor,
     find_signed_minor,
     has_clique_minor,
@@ -22,12 +23,8 @@ from oddminorkit.graph import SizeLimitError
 import oracles
 
 
-def complete_graph(n):
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
 def Kt(t):
-    return complete_graph(t)
+    return complete(t)
 
 
 # ---------------------------------------------------------------------------
@@ -38,27 +35,29 @@ def Kt(t):
 def test_parity_breaking_against_coloring():
     alpha = TwoColoring({0: 1, 3: 1, 5: 2})
     # equal colors: breaking iff odd length
-    assert is_parity_breaking(ParityQuery(Path((0, 1, 2, 3)), alpha))
-    assert not is_parity_breaking(ParityQuery(Path((0, 1, 3)), alpha))
+    assert is_parity_breaking(Path((0, 1, 2, 3)), alpha)
+    assert not is_parity_breaking(Path((0, 1, 3)), alpha)
     # unequal colors: breaking iff even length
-    assert is_parity_breaking(ParityQuery(Path((0, 1, 5)), alpha))
-    assert not is_parity_breaking(ParityQuery(Path((0, 5)), alpha))
+    assert is_parity_breaking(Path((0, 1, 5)), alpha)
+    assert not is_parity_breaking(Path((0, 5)), alpha)
 
 
 def test_parity_breaking_against_bipartite_graph():
     P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
     # same side of the bipartition: an odd path breaks parity
-    assert is_parity_breaking(ParityQuery(Path((0, 4, 2)), P4)) is False
-    assert is_parity_breaking(ParityQuery(Path((0, 4, 5, 6, 2)), P4)) is False
-    assert is_parity_breaking(ParityQuery(Path((0, 4, 5, 2)), P4))
+    beta = bipartition(P4)
+    assert is_parity_breaking(Path((0, 4, 2)), beta) is False
+    assert is_parity_breaking(Path((0, 4, 5, 6, 2)), beta) is False
+    assert is_parity_breaking(Path((0, 4, 5, 2)), beta)
 
 
 def test_no_path_inside_a_bipartite_graph_breaks_its_parity():
     # any path of a connected bipartite graph agrees with the 2-coloring
     G = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
+    beta = bipartition(G)
     for a, b in itertools.combinations(range(6), 2):
         for p in oracles.all_simple_paths_between(G, a, b):
-            assert not is_parity_breaking(ParityQuery(Path(tuple(p)), G))
+            assert not is_parity_breaking(Path(tuple(p)), beta)
 
 
 def test_parity_query_concatenation_xor():
@@ -66,19 +65,14 @@ def test_parity_query_concatenation_xor():
     p1 = Path((0, 1, 2))
     p2 = Path((2, 3, 4, 5))
     whole = Path((0, 1, 2, 3, 4, 5))
-    b1 = is_parity_breaking(ParityQuery(p1, alpha))
-    b2 = is_parity_breaking(ParityQuery(p2, alpha))
-    assert is_parity_breaking(ParityQuery(whole, alpha)) == (b1 ^ b2)
+    b1 = is_parity_breaking(p1, alpha)
+    b2 = is_parity_breaking(p2, alpha)
+    assert is_parity_breaking(whole, alpha) == (b1 ^ b2)
 
 
 def test_parity_predicate_rejects_bad_references():
     with pytest.raises(ValueError):
-        is_parity_breaking(ParityQuery(Path((0, 1, 2)), Kt(3)))  # not bipartite
-    disconnected = Graph(4, [(0, 1), (2, 3)])
-    with pytest.raises(ValueError):
-        is_parity_breaking(ParityQuery(Path((0, 1)), disconnected))
-    with pytest.raises(ValueError):
-        is_parity_breaking(ParityQuery(Path((0, 9)), TwoColoring({0: 1})))
+        is_parity_breaking(Path((0, 9)), TwoColoring({0: 1}))
 
 
 # ---------------------------------------------------------------------------
@@ -240,3 +234,22 @@ def test_verifier_accepts_path_form_connectors():
                         {(0, 1): Path((2, 3, 4, 0))})
     ok, reason = verify_odd_minor_model(G, Kt(2), rev)
     assert ok, reason
+
+
+def test_size_guard_message_names_layer_size_and_limit(monkeypatch):
+    monkeypatch.delenv("ODDMINOR_LIMIT", raising=False)
+    with pytest.raises(SizeLimitError) as e:
+        find_odd_clique_minor(Graph(18), 2)
+    assert str(e.value) == "find_odd_clique_minor: graph has 18 > 14 vertices"
+
+
+@pytest.mark.parametrize("edges", [((0, 1), (0, 1)), ((0, 1), (1, 0))])
+def test_verifier_rejects_a_repeated_tree_edge(edges):
+    # two copies of one edge have the |V| - 1 count of a tree on {0, 1, 2}
+    model = OddMinorModel(
+        trees={0: (0, 1, 2), 1: (3,)},
+        tree_edges={0: edges, 1: ()},
+        alpha=TwoColoring({0: 1, 1: 2, 2: 2, 3: 2}),
+        connectors={(0, 1): (2, 3)},
+    )
+    assert verify_odd_minor_model(Kt(4), Kt(2), model) == (False, "tree-not-acyclic")

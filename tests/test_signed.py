@@ -9,6 +9,8 @@ from oddminorkit import (
     Graph,
     Path,
     SignedGraph,
+    SignedMinorModel,
+    complete,
     cut_edges,
     find_odd_clique_minor,
     find_signed_minor,
@@ -17,7 +19,7 @@ from oddminorkit import (
     signatures_equivalent,
     verify_signed_minor_model,
 )
-from oddminorkit.graph import bits
+from oddminorkit.graph import SizeLimitError, bits
 
 import oracles
 
@@ -229,3 +231,23 @@ def test_signed_minor_search_matches_brute_force_oracle(instance):
         assert ok, reason
         # branch sets come by increasing total size: a smallest model
         assert sum(len(vs) for vs in model.trees.values()) == want
+
+
+def test_size_guard_message_names_layer_size_and_limit(monkeypatch):
+    monkeypatch.delenv("ODDMINOR_LIMIT", raising=False)
+    with pytest.raises(SizeLimitError) as e:
+        find_signed_minor(Graph(15), complete(2), [])
+    assert str(e.value) == "find_signed_minor: graph has 15 > 14 vertices"
+
+
+@pytest.mark.parametrize("edges", [((0, 1), (0, 1)), ((0, 1), (1, 0))])
+def test_verifier_rejects_a_repeated_tree_edge(edges):
+    # two copies of one edge have the |V| - 1 count of a tree on {0, 1, 2}
+    model = SignedMinorModel(
+        trees={0: (0, 1, 2), 1: (3,)},
+        tree_edges={0: edges, 1: ()},
+        tree_colorings={0: {0: 1, 1: 2, 2: 2}, 1: {3: 2}},
+        edge_witness={(0, 1): (2, 3)},
+    )
+    ok, reason = verify_signed_minor_model(complete(4), complete(2), [(0, 1)], model)
+    assert (ok, reason) == (False, "tree-not-acyclic")

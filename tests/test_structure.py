@@ -14,6 +14,7 @@ from oddminorkit import (
     blocks,
     build_odd_clique_model,
     chorded_subdivision,
+    complete,
     join_subdivision,
     structure_theorem,
     verify_odd_minor_model,
@@ -21,7 +22,7 @@ from oddminorkit import (
 
 
 def Kt(t):
-    return Graph(t, [(i, j) for i in range(t) for j in range(i + 1, t)])
+    return complete(t)
 
 
 @given(st.integers(0, 60))

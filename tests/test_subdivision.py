@@ -167,3 +167,10 @@ def test_size_guard():
     with pytest.raises(SizeLimitError):
         find_bipartite_join_subdivision(G, 2, 1)
     assert find_bipartite_join_subdivision(G, 2, 1, limit=31) is None
+
+
+def test_size_guard_message_names_layer_size_and_limit(monkeypatch):
+    monkeypatch.delenv("ODDMINOR_LIMIT", raising=False)
+    with pytest.raises(SizeLimitError) as e:
+        find_bipartite_join_subdivision(Graph(31), 2, 1)
+    assert str(e.value) == "find_bipartite_join_subdivision: graph has 31 > 30 vertices"
