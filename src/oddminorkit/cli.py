@@ -13,7 +13,7 @@ import itertools
 import json
 import sys
 import time
-from typing import Optional
+from typing import NoReturn, Optional
 
 import click
 
@@ -30,7 +30,6 @@ from .generators import (
 from .graph import (
     MAX_VERTICES,
     Graph,
-    GraphError,
     SizeLimitError,
     complete,
     parse_graph,
@@ -40,22 +39,15 @@ from .graph import (
 )
 from .oddminor import find_odd_clique_minor
 from .signed import find_signed_minor
-from .structure import Decomposition, HypothesisUnmetError, structure_theorem
+from .structure import Decomposition, structure_theorem
 from .subdivision import find_bipartite_join_subdivision
 
 EXIT_CERTIFICATE = 2
 EXIT_SIZE_GUARD = 3
 EXIT_INPUT_ERROR = 4
 
-_FORMATS = click.Choice(["graph6", "dimacs", "edgelist"])
-
-
-def _emit_graph(G: Graph, format: str) -> str:
-    if format == "graph6":
-        return to_graph6(G)
-    if format == "dimacs":
-        return to_dimacs(G)
-    return to_edgelist(G)
+_WRITERS = {"graph6": to_graph6, "dimacs": to_dimacs, "edgelist": to_edgelist}
+_FORMATS = click.Choice(list(_WRITERS))
 
 
 def _read_graph(source: str, format: str) -> Graph:
@@ -66,13 +58,8 @@ def _read_graph(source: str, format: str) -> Graph:
             with open(source, "rb") as fh:
                 data = fh.read()
         return parse_graph(data, format)
-    except (OSError, GraphError, ValueError) as e:
-        raise click.exceptions.Exit(_fail(f"cannot read graph: {e}"))
-
-
-def _fail(msg: str) -> int:
-    click.echo(f"error: {msg}", err=True)
-    return EXIT_INPUT_ERROR
+    except (OSError, ValueError) as e:
+        raise ValueError(f"cannot read graph: {e}") from e
 
 
 def _write(text: str, out: Optional[str]) -> None:
@@ -81,28 +68,46 @@ def _write(text: str, out: Optional[str]) -> None:
             with open(out, "w") as fh:
                 fh.write(text if text.endswith("\n") else text + "\n")
         except OSError as e:
-            sys.exit(_fail(f"cannot write {out}: {e}"))
+            raise ValueError(f"cannot write {out}: {e}") from e
     else:
         click.echo(text)
 
 
-def _usage_error_is_input_error(call, *args, **kwargs):
-    try:
-        return call(*args, **kwargs)
-    except click.UsageError as e:
-        e.exit_code = EXIT_INPUT_ERROR
-        raise
+def _certificate_exit(cert: certs.Certificate, out: Optional[str]) -> NoReturn:
+    """Write the certificate of a substructure found and exit 2."""
+    _write(certs.serialize_certificate(cert), out)
+    sys.exit(EXIT_CERTIFICATE)
 
 
 class _Main(click.Group):
-    """Exits 4 on click's usage errors (a missing option, a bad value, an
-    unknown command), not click's 2, which here means "odd minor found"."""
+    """The one place where an exception becomes an exit code.
+
+    SizeLimitError exits 3 and ValueError (GraphError, CertificateError,
+    HypothesisUnmetError, JSONDecodeError) exits 4, each with its message on
+    stderr. Click's usage errors (a missing option, a bad value, an unknown
+    command) exit 4, not click's 2, which here means "odd minor found". Any
+    other exception is a bug and keeps its traceback.
+    """
 
     def make_context(self, *args, **kwargs):
-        return _usage_error_is_input_error(super().make_context, *args, **kwargs)
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as e:
+            e.exit_code = EXIT_INPUT_ERROR
+            raise
 
     def invoke(self, ctx):
-        return _usage_error_is_input_error(super().invoke, ctx)
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as e:
+            e.exit_code = EXIT_INPUT_ERROR
+            raise
+        except SizeLimitError as e:
+            click.echo(f"size guard: {e}", err=True)
+            sys.exit(EXIT_SIZE_GUARD)
+        except ValueError as e:
+            click.echo(f"error: {e}", err=True)
+            sys.exit(EXIT_INPUT_ERROR)
 
 
 @click.group(cls=_Main)
@@ -116,14 +121,23 @@ def main() -> None:
 # ---------------------------------------------------------------------------
 
 
+# each family's parameters; a bracketed one may be left out
+_GEN_PARAMS = {"complete": "N", "complete_bipartite": "M N", "cycle": "N", "random": "N P",
+               "join_subdivision": "S T [COUNT]", "chorded_subdivision": "S T CHORDS"}
+
+
 def _gen_vertex_count(family: str, params: tuple[str, ...]) -> int:
     """The most vertices `gen FAMILY PARAMS` can build, from PARAMS alone."""
+    if family not in _GEN_PARAMS:
+        raise ValueError(f"unknown family {family!r}")
+    names = _GEN_PARAMS[family].split()
+    if not sum(not p.startswith("[") for p in names) <= len(params) <= len(names):
+        raise ValueError(f"{family} takes parameters {' '.join(names)}, "
+                         f"got {len(params)}")
     if family in ("complete", "cycle", "random"):
         return int(params[0])
     if family == "complete_bipartite":
         return int(params[0]) + int(params[1])
-    if family not in ("join_subdivision", "chorded_subdivision"):
-        raise ValueError(f"unknown family {family!r}")
     # negative sizes are the generator's error to report, not a huge count
     s, t = max(int(params[0]), 0), max(int(params[1]), 0)
     pattern_edges = s * (s - 1) // 2 + s * t
@@ -147,32 +161,28 @@ def gen(family: str, params: tuple[str, ...], seed: int, fmt: str, out: Optional
     Families: complete N | complete_bipartite M N | cycle N | random N P |
     join_subdivision S T [COUNT] | chorded_subdivision S T CHORDS
     """
+    n = _gen_vertex_count(family, params)
+    if n > MAX_VERTICES:
+        raise ValueError(f"{family} would have up to {n} vertices, "
+                         f"more than the limit of {MAX_VERTICES}")
     cert = None
-    try:
-        n = _gen_vertex_count(family, params)
-        if n > MAX_VERTICES:
-            raise ValueError(f"{family} would have up to {n} vertices, "
-                             f"more than the limit of {MAX_VERTICES}")
-        if family == "complete":
-            G = complete(int(params[0]))
-        elif family == "complete_bipartite":
-            G = complete_bipartite(int(params[0]), int(params[1]))
-        elif family == "cycle":
-            G = cycle(int(params[0]))
-        elif family == "random":
-            G = random_graph(int(params[0]), float(params[1]), seed)
-        elif family == "join_subdivision":
-            count = int(params[2]) if len(params) > 2 else 1
-            G, emb = join_subdivision(int(params[0]), int(params[1]), count)
-            cert = certs.certify_subdivision(G, emb, bipartite=count % 2 == 1)
-        elif family == "chorded_subdivision":
-            G, emb, _ = chorded_subdivision(int(params[0]), int(params[1]),
-                                            int(params[2]), seed)
-            cert = certs.certify_subdivision(G, emb)
-        text = _emit_graph(G, fmt)
-    except (ValueError, IndexError) as e:
-        sys.exit(_fail(str(e)))
-    _write(text, out)
+    if family == "complete":
+        G = complete(int(params[0]))
+    elif family == "complete_bipartite":
+        G = complete_bipartite(int(params[0]), int(params[1]))
+    elif family == "cycle":
+        G = cycle(int(params[0]))
+    elif family == "random":
+        G = random_graph(int(params[0]), float(params[1]), seed)
+    elif family == "join_subdivision":
+        count = int(params[2]) if len(params) > 2 else 1
+        G, emb = join_subdivision(int(params[0]), int(params[1]), count)
+        cert = certs.certify_subdivision(G, emb, bipartite=count % 2 == 1)
+    else:
+        G, emb, _ = chorded_subdivision(int(params[0]), int(params[1]),
+                                        int(params[2]), seed)
+        cert = certs.certify_subdivision(G, emb)
+    _write(_WRITERS[fmt](G), out)
     if cert is not None:
         _write(certs.serialize_certificate(cert), out and out + ".cert.json")
 
@@ -214,41 +224,29 @@ def detect(graph: str, fmt: str, mode: str, t: int, s: Optional[int],
     Prints a certificate (exit 2) or "absent" (exit 0).
     """
     G = _read_graph(graph, fmt)
-    try:
-        if mode == "odd-clique":
-            model = find_odd_clique_minor(G, t, limit=limit)
-            if model is None:
-                _write("absent", out)
-                return
-            Kt = complete(t)
-            cert = certs.certify_odd_minor_model(G, Kt, model)
-        elif mode == "subdivision":
-            if s is None:
-                sys.exit(_fail("subdivision mode needs --s"))
-            emb = find_bipartite_join_subdivision(G, s, t, limit=limit)
-            if emb is None:
-                _write("absent", out)
-                return
+    cert = None
+    if mode == "odd-clique":
+        model = find_odd_clique_minor(G, t, limit=limit)
+        if model is not None:
+            cert = certs.certify_odd_minor_model(G, complete(t), model)
+    elif mode == "subdivision":
+        if s is None:
+            raise ValueError("subdivision mode needs --s")
+        emb = find_bipartite_join_subdivision(G, s, t, limit=limit)
+        if emb is not None:
             cert = certs.certify_subdivision(G, emb)
-        else:
-            sig = _kt_signature(sigma, t)
-            # K_t has ~t^2/2 edges: answer before building a pattern G cannot hold
-            if t > G.n:
-                _write("absent", out)
-                return
+    else:
+        sig = _kt_signature(sigma, t)
+        # K_t has ~t^2/2 edges: answer before building a pattern G cannot hold
+        if t <= G.n:
             Kt = complete(t)
             model = find_signed_minor(G, Kt, sig, limit=limit)
-            if model is None:
-                _write("absent", out)
-                return
-            cert = certs.certify_signed_minor_model(G, Kt, sig, model)
-    except SizeLimitError as e:
-        click.echo(f"size guard: {e}", err=True)
-        sys.exit(EXIT_SIZE_GUARD)
-    except (ValueError, json.JSONDecodeError) as e:
-        sys.exit(_fail(str(e)))
-    _write(certs.serialize_certificate(cert), out)
-    sys.exit(EXIT_CERTIFICATE)
+            if model is not None:
+                cert = certs.certify_signed_minor_model(G, Kt, sig, model)
+    if cert is None:
+        _write("absent", out)
+    else:
+        _certificate_exit(cert, out)
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +272,8 @@ def _color_once(G: Graph, t: int, mode: str, want_trace: bool):
 @click.option("--mode", type=click.Choice(["defective", "clustered"]),
               default="defective", show_default=True)
 @click.option("--trace", is_flag=True, help="include the recursion trace in the report")
-@click.option("--c0", type=float, default=10.0, show_default=True,
-              help="constant for the reported asymptotic defect bound")
 @click.option("--out", type=str, default=None)
-def color(graph: str, fmt: str, t: int, mode: str, trace: bool,
-          c0: float, out: Optional[str]):
+def color(graph: str, fmt: str, t: int, mode: str, trace: bool, out: Optional[str]):
     """Color with at most 6t-9 (defective) or 10t-13 (clustered) colors.
 
     Emits the coloring certificate plus a JSON report (with --out, the
@@ -289,21 +284,17 @@ def color(graph: str, fmt: str, t: int, mode: str, trace: bool,
     try:
         assignment, value, bound, tr = _color_once(G, t, mode, trace)
     except OddMinorFoundError as e:
-        Kt = complete(t)
-        cert = certs.certify_odd_minor_model(G, Kt, e.model)
-        _write(certs.serialize_certificate(cert), out)
-        sys.exit(EXIT_CERTIFICATE)
-    except SizeLimitError as e:
-        click.echo(f"size guard: {e}", err=True)
-        sys.exit(EXIT_SIZE_GUARD)
-    except ValueError as e:
-        sys.exit(_fail(str(e)))
+        _certificate_exit(certs.certify_odd_minor_model(G, complete(t), e.model), out)
     cert = certs.certify_coloring(G, assignment, mode, t, bound, value)
+    try:
+        bound_n = bound_N(2 * t - 2, t)
+    except OverflowError:  # from t = 43 up the bound passes the float range
+        bound_n = None
     report = {
         "palette_used": assignment.palette_size,
         "bound_palette": bound,
         ("defect_achieved" if mode == "defective" else "cluster_achieved"): value,
-        "bound_N": bound_N(2 * t - 2, t, c0),
+        "bound_N": bound_n,
     }
     if tr is not None:
         report["recursion_trace"] = tr
@@ -327,19 +318,11 @@ def decompose(graph: str, fmt: str, t: int, limit: Optional[int], out: Optional[
     """Apply the structure dichotomy: odd K_t model (exit 2) or apex set +
     bipartite block (exit 0)."""
     G = _read_graph(graph, fmt)
-    try:
-        result = structure_theorem(G, t, limit=limit)
-    except SizeLimitError as e:
-        click.echo(f"size guard: {e}", err=True)
-        sys.exit(EXIT_SIZE_GUARD)
-    except (HypothesisUnmetError, ValueError) as e:
-        sys.exit(_fail(str(e)))
+    result = structure_theorem(G, t, limit=limit)
     if isinstance(result, Decomposition):
         _write(certs.serialize_certificate(certs.certify_decomposition(G, t, result)), out)
-        return
-    Kt = complete(t)
-    _write(certs.serialize_certificate(certs.certify_odd_minor_model(G, Kt, result)), out)
-    sys.exit(EXIT_CERTIFICATE)
+    else:
+        _certificate_exit(certs.certify_odd_minor_model(G, complete(t), result), out)
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +343,8 @@ def ep(graph: str, fmt: str, s_set: str, l: int, limit: Optional[int],
     """Odd S-path dichotomy: l disjoint odd S-paths, or a cover of at most
     2l-2 vertices."""
     G = _read_graph(graph, fmt)
-    try:
-        S = [int(x) for x in s_set.split(",") if x.strip() != ""]
-        res = odd_s_paths_dichotomy(G, S, l, limit=limit)
-    except SizeLimitError as e:
-        click.echo(f"size guard: {e}", err=True)
-        sys.exit(EXIT_SIZE_GUARD)
-    except ValueError as e:
-        sys.exit(_fail(str(e)))
+    S = [int(x) for x in s_set.split(",") if x.strip() != ""]
+    res = odd_s_paths_dichotomy(G, S, l, limit=limit)
     if res.is_packing:
         cert = certs.certify_packing(G, S, l, res.packing)
     else:
@@ -389,12 +366,10 @@ def verify(graph: str, certificate: str, fmt: str):
     G = _read_graph(graph, fmt)
     try:
         with open(certificate) as fh:
-            cert = certs.parse_certificate(fh.read())
-        ok, reason = certs.verify_certificate(G, cert)
-    except OSError as e:
-        sys.exit(_fail(f"cannot read certificate: {e}"))
-    except certs.CertificateError as e:
-        sys.exit(_fail(str(e)))
+            text = fh.read()
+    except (OSError, ValueError) as e:
+        raise ValueError(f"cannot read certificate: {e}") from e
+    ok, reason = certs.verify_certificate(G, certs.parse_certificate(text))
     click.echo(f"{'true' if ok else 'false'} {reason}")
 
 
@@ -406,10 +381,6 @@ _CSV_COLUMNS = [
     "instance", "n", "m", "t", "mode", "outcome",
     "palette_used", "bound_palette", "achieved", "seconds",
 ]
-
-
-def _sig6(x: float) -> str:
-    return f"{x:.6g}"
 
 
 def _sweep_instances(sweep: str, seed: int):
@@ -454,23 +425,20 @@ def corpus(graphs: tuple[str, ...], sweep: tuple[str, ...], fmt: str, t: int,
     recorded without stopping the run.
     """
     if t < 2:
-        sys.exit(_fail("t must be >= 2"))
-    try:
-        specs = [(sw, *_sweep_instances(sw, seed)) for sw in sweep]
-        for sw, n, _ in specs:
-            if n > MAX_VERTICES:
-                raise ValueError(f"sweep {sw} would have up to {n} vertices, "
-                                 f"more than the limit of {MAX_VERTICES}")
-        instances = [(path, _read_graph(path, fmt)) for path in graphs]
-        sweeps = []
-        for _, _, pairs in specs:
-            # a sweep's first graph fails iff one of its graphs would, so
-            # building it checks the spec; the rest are built when due
-            first = next(pairs, None)
-            if first is not None:
-                sweeps.append(itertools.chain([first], pairs))
-    except ValueError as e:
-        sys.exit(_fail(str(e)))
+        raise ValueError("t must be >= 2")
+    specs = [(sw, *_sweep_instances(sw, seed)) for sw in sweep]
+    for sw, n, _ in specs:
+        if n > MAX_VERTICES:
+            raise ValueError(f"sweep {sw} would have up to {n} vertices, "
+                             f"more than the limit of {MAX_VERTICES}")
+    instances = [(path, _read_graph(path, fmt)) for path in graphs]
+    sweeps = []
+    for _, _, pairs in specs:
+        # a sweep's first graph fails iff one of its graphs would, so
+        # building it checks the spec; the rest are built when due
+        first = next(pairs, None)
+        if first is not None:
+            sweeps.append(itertools.chain([first], pairs))
     bound = 6 * t - 9 if mode == "defective" else 10 * t - 13
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -496,7 +464,7 @@ def corpus(graphs: tuple[str, ...], sweep: tuple[str, ...], fmt: str, t: int,
             outcome = f"error:{type(e).__name__}"
         writer.writerow([
             label, G.n, G.m, t, mode, outcome,
-            palette, bound, achieved, _sig6(time.perf_counter() - t0),
+            palette, bound, achieved, f"{time.perf_counter() - t0:.6g}",
         ])
     _write(buf.getvalue().rstrip("\n"), out)
 

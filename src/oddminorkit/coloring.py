@@ -313,30 +313,28 @@ def _extend(
 # ---------------------------------------------------------------------------
 
 
-def _maybe_precheck(G: Graph, t: int, precheck: Optional[bool]) -> None:
+def _maybe_precheck(G: Graph, t: int) -> None:
+    """Search a host of at most 10 vertices for an odd K_t minor up front."""
     from .oddminor import find_odd_clique_minor
 
-    if precheck is None:
-        precheck = G.n <= 10
     # every odd K_t (t >= 3) holds an odd K_3, which exists iff G is not bipartite
-    if precheck and not (t >= 3 and bipartition(G) is not None):
+    if G.n <= 10 and not (t >= 3 and bipartition(G) is not None):
         model = find_odd_clique_minor(G, t)
         if model is not None:
             raise OddMinorFoundError(t, model)
 
 
 def color_defective(
-    G: Graph, t: int, precheck: Optional[bool] = None,
-    trace: Optional[list] = None,
+    G: Graph, t: int, trace: Optional[list] = None,
 ) -> tuple[ColoringAssignment, int]:
     """Color with at most 6t-9 colors; returns the coloring and the achieved
     defect. Raises OddMinorFoundError with a certificate when an odd K_t
-    minor surfaces (always when the upfront check runs; the check defaults
-    to on for graphs with at most 10 vertices, and for t >= 3 it settles a
-    bipartite host by its 2-coloring, without the exhaustive search)."""
+    minor surfaces (always on graphs with at most 10 vertices, which are
+    checked up front; for t >= 3 that check settles a bipartite host by its
+    2-coloring, without the exhaustive search)."""
     if t < 2:
         raise ValueError("t must be >= 2")
-    _maybe_precheck(G, t, precheck)
+    _maybe_precheck(G, t)
     s = 2 * t - 2
 
     def base(H: Graph) -> ColoringAssignment:
@@ -348,14 +346,13 @@ def color_defective(
 
 
 def color_clustered(
-    G: Graph, t: int, precheck: Optional[bool] = None,
-    trace: Optional[list] = None,
+    G: Graph, t: int, trace: Optional[list] = None,
 ) -> tuple[ColoringAssignment, int]:
     """Color with at most 10t-13 colors; returns the coloring and the
     achieved cluster size (largest monochromatic component)."""
     if t < 2:
         raise ValueError("t must be >= 2")
-    _maybe_precheck(G, t, precheck)
+    _maybe_precheck(G, t)
     s = 2 * t - 2
 
     def base(H: Graph) -> ColoringAssignment:

@@ -212,7 +212,9 @@ def find_odd_s_path(
     G: Graph, S: Iterable[int], avoid: Iterable[int] = ()
 ) -> Optional[Path]:
     """A shortest odd S-path of G minus avoid, or None after exhaustive
-    search."""
+    search. It has the odd S-path dichotomy's guard, so a cover that the
+    dichotomy writes under a guard verifies under the same guard."""
+    check_size(G, None, "find_odd_s_path", DEFAULT_EP_LIMIT)
     return _PathEngine(G, S).first(_mask(avoid, G.n))
 
 

@@ -176,14 +176,6 @@ class Graph:
             rest &= ~comp
         return comps
 
-    def is_connected_subset(self, vs: Sequence[int]) -> bool:
-        if not vs:
-            return False
-        within = 0
-        for v in vs:
-            within |= 1 << v
-        return self.reach(within & -within, within) == within
-
 
 def complete(n: int) -> Graph:
     """The complete graph K_n."""

@@ -117,6 +117,14 @@ class SignedMinorModel:
     edge_witness: dict[Edge, Edge]
 
 
+def _root(parent: dict[int, int], v: int) -> int:
+    """Union-find root of v, halving the path on the way up."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
 def _tree_fault(
     G: Graph, H: Graph, trees: dict[int, tuple[int, ...]],
     tree_edges: dict[int, tuple[Edge, ...]],
@@ -147,8 +155,13 @@ def _tree_fault(
         # a repeated edge meets the |V| - 1 count but spans no tree
         if len({_norm_edge(a, b) for a, b in te}) != len(te):
             return "tree-not-acyclic"
-        if len(vs) > 1 and not Graph(G.n, te).is_connected_subset(vs):
-            return "tree-not-connected"
+        # |V| - 1 distinct edges span a tree iff none closes a cycle
+        root = {v: v for v in vs}
+        for a, b in te:
+            a, b = _root(root, a), _root(root, b)
+            if a == b:
+                return "tree-not-connected"
+            root[a] = b
     return None
 
 

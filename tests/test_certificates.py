@@ -34,6 +34,7 @@ from oddminorkit import (
     structure_theorem,
     verify_certificate,
 )
+from oddminorkit.graph import SizeLimitError
 from oddminorkit.structure import Decomposition
 
 
@@ -244,3 +245,13 @@ def test_a_repeated_tree_edge_is_a_soft_failure():
                  certify_signed_minor_model(G, H, [(0, 1)], signed)):
         again = parse_certificate(serialize_certificate(cert))
         assert verify_certificate(G, again) == (False, "tree-not-acyclic")
+
+
+def test_cover_on_a_host_above_the_guard_raises(monkeypatch):
+    # the cover check is an exhaustive odd S-path search, guarded like it
+    monkeypatch.delenv("ODDMINOR_LIMIT", raising=False)
+    cert = certify_cover(Graph(21, []), [0, 1], 1, [])
+    with pytest.raises(SizeLimitError, match="find_odd_s_path: graph has 21 > 20"):
+        verify_certificate(Graph(21, []), cert)
+    G = Graph(20, [])
+    assert verify_certificate(G, certify_cover(G, [0, 1], 1, [])) == (True, "ok")

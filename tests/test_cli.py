@@ -11,8 +11,9 @@ from oddminorkit import (
     verify_certificate,
 )
 from oddminorkit.cli import main
+from oddminorkit.certificates import certify_cover, serialize_certificate
 from oddminorkit.generators import chorded_subdivision, cycle, complete_bipartite
-from oddminorkit.graph import parse_graph
+from oddminorkit.graph import Graph, parse_graph
 
 
 @pytest.fixture
@@ -373,3 +374,59 @@ def test_corpus_refuses_a_bad_sweep_before_any_row(runner, spec):
     res = runner.invoke(main, ["corpus", "--sweep", "cycle:3-4", "--sweep", spec, "--t", "3"])
     assert res.exit_code == 4, res.output
     assert "instance," not in res.output
+
+
+def grid_with_a_triangle(k):
+    """The k x k grid with a triangle hung on its far corner. Every path
+    between grid vertices 0 and 2 is even, but odd walks exist, so the
+    S-path search cannot prune by walk parity."""
+    edges = [(r * k + c, r * k + c + 1) for r in range(k) for c in range(k - 1)]
+    edges += [(r * k + c, (r + 1) * k + c) for r in range(k - 1) for c in range(k)]
+    far = k * k - 1
+    return Graph(k * k + 2, edges + [(far, far + 1), (far + 1, far + 2), (far, far + 2)])
+
+
+# (args, environment, exit code, start of the last output line)
+CONTRACT = [
+    (["gen", "cycle"], {}, 4, "error: cycle takes parameters N, got 0"),
+    (["gen", "cycle", "5", "7"], {}, 4, "error: cycle takes parameters N, got 2"),
+    (["detect", "C5", "--t", "3", "--mode", "subdivision"], {}, 4,
+     "error: subdivision mode needs --s"),
+    (["color", "C5", "--t", "1"], {}, 4, "error: t must be >= 2"),
+    (["decompose", "C5", "--t", "2"], {}, 4, "error: "),
+    (["ep", "C5", "--s-set", "0,x", "--l", "1"], {}, 4, "error: "),
+    (["verify", "C5", "MISSING"], {}, 4, "error: cannot read certificate"),
+    (["corpus", "--sweep", "bogus:1", "--t", "3"], {}, 4, "error: unknown sweep spec"),
+    (["detect", "E31", "--t", "3"], {}, 3, "size guard: find_odd_clique_minor: "),
+    (["color", "C5", "--t", "3"], {"ODDMINOR_LIMIT": "4"}, 3,
+     "size guard: find_odd_clique_minor: "),
+    (["decompose", "E31", "--t", "2"], {}, 3,
+     "size guard: find_bipartite_join_subdivision: graph has 31 > 30"),
+    (["ep", "E21", "--s-set", "0,1", "--l", "1"], {}, 3,
+     "size guard: odd_s_paths_dichotomy: graph has 21 > 20"),
+    (["verify", "GRID", "COVER"], {}, 3, "size guard: find_odd_s_path: graph has 38 > 20"),
+    # bound_N(2t - 2, t) passes the float range from t = 43 up
+    (["color", "K33", "--t", "43"], {}, 0, '{"bound_N":null,'),
+]
+
+
+@pytest.mark.parametrize("args, env, code, line", CONTRACT)
+def test_every_command_exits_0_2_3_or_4(runner, tmp_path, monkeypatch, args, env, code, line):
+    monkeypatch.delenv("ODDMINOR_LIMIT", raising=False)
+    for k, v in env.items():
+        monkeypatch.setenv(k, v)
+    grid = grid_with_a_triangle(6)
+    cover = tmp_path / "cover.json"
+    cover.write_text(serialize_certificate(certify_cover(grid, [0, 2], 1, [])))
+    paths = {"C5": write_graph(tmp_path, cycle(5), "c5.g6"),
+             "K33": write_graph(tmp_path, complete_bipartite(3, 3), "k33.g6"),
+             "E21": write_graph(tmp_path, Graph(21, []), "e21.g6"),
+             "E31": write_graph(tmp_path, Graph(31, []), "e31.g6"),
+             "GRID": write_graph(tmp_path, grid, "grid.g6"),
+             "COVER": str(cover),
+             "MISSING": str(tmp_path / "missing.json")}
+    res = runner.invoke(main, [paths.get(a, a) for a in args])
+    assert res.exit_code == code, res.output
+    assert res.output.strip().split("\n")[-1].startswith(line), res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output

@@ -154,14 +154,9 @@ def test_odd_cycle_surfaces_certificate():
             assert ok, reason
 
 
-def test_precheck_flag_controls_upfront_detection():
-    C5 = cycle(5)
+def test_precheck_finds_the_odd_minor_of_a_small_host():
     with pytest.raises(OddMinorFoundError):
-        color_defective(C5, 3, precheck=True)
-    # with the check disabled, C_5 never builds the required subdivision, so
-    # the recursion falls through to the base colorer and still succeeds
-    c, _ = color_defective(C5, 3, precheck=False)
-    assert c.palette_size == 9
+        color_defective(cycle(5), 3)
 
 
 def random_bipartite_host(seed):
@@ -179,17 +174,16 @@ BIPARTITE_HOSTS = [complete_bipartite(3, 3), complete_bipartite(4, 5), cycle(8)]
 ]
 
 
-@pytest.mark.parametrize("precheck", [None, True])
-def test_bipartite_hosts_skip_the_exhaustive_precheck(monkeypatch, precheck):
+def test_bipartite_hosts_skip_the_exhaustive_precheck(monkeypatch):
     def search(G, t, limit=None):
         raise AssertionError("exhaustive odd-clique search on a bipartite host")
 
     monkeypatch.setattr(oddminor, "find_odd_clique_minor", search)
     for t in (3, 4):
         for G in BIPARTITE_HOSTS:
-            c, defect = color_defective(G, t, precheck=precheck)
+            c, defect = color_defective(G, t)
             assert verify_coloring(G, c, "defective", defect)
-            c, cluster = color_clustered(G, t, precheck=precheck)
+            c, cluster = color_clustered(G, t)
             assert verify_coloring(G, c, "clustered", cluster)
 
 
@@ -199,18 +193,14 @@ def test_bipartite_shortcut_matches_the_exhaustive_oracle():
         assert bipartition(G) is not None
         for t in (3, 4):
             assert find_odd_clique_minor(G, t) is None
-            for color in (color_defective, color_clustered):
-                assert color(G, t) == color(G, t, precheck=False)
 
 
 def test_precheck_obeys_the_size_guard(monkeypatch):
-    # a non-bipartite 20-vertex host: the exhaustive search is refused at once
-    monkeypatch.delenv("ODDMINOR_LIMIT", raising=False)
-    G = random_graph(20, 0.25, 0)
-    assert bipartition(G) is None
+    # a non-bipartite 5-vertex host under a guard of 4: the search is refused
+    monkeypatch.setenv("ODDMINOR_LIMIT", "4")
     with pytest.raises(SizeLimitError) as e:
-        color_defective(G, 4, precheck=True)
-    assert str(e.value) == "find_odd_clique_minor: graph has 20 > 14 vertices"
+        color_defective(cycle(5), 3)
+    assert str(e.value) == "find_odd_clique_minor: graph has 5 > 4 vertices"
 
 
 def test_trace_reports_recursion_cases():

@@ -130,12 +130,21 @@ def test_dichotomy_is_deterministic():
                for r in runs)
 
 
-def test_size_guard():
+def test_size_guard(monkeypatch):
+    monkeypatch.delenv("ODDMINOR_LIMIT", raising=False)
     G = Graph(21, [])
     with pytest.raises(SizeLimitError):
         odd_s_paths_dichotomy(G, {0, 1}, 1)
     res = odd_s_paths_dichotomy(G, {0, 1}, 1, limit=21)
     assert not res.is_packing and res.cover == frozenset()
+    # the search that checks a cover has the dichotomy's guard, so a cover
+    # written under a guard verifies under the same guard
+    assert find_odd_s_path(Graph(20, []), {0, 1}) is None
+    with pytest.raises(SizeLimitError) as e:
+        find_odd_s_path(G, {0, 1})
+    assert str(e.value) == "find_odd_s_path: graph has 21 > 20 vertices"
+    monkeypatch.setenv("ODDMINOR_LIMIT", "21")
+    assert find_odd_s_path(G, {0, 1}) is None
 
 
 def all_parity_breaking_c_paths(G, emb):

@@ -146,9 +146,9 @@ def test_components_partition(G):
     seen = sorted(v for c in comps for v in c)
     assert seen == list(G.vertices())
     for c in comps:
-        assert G.is_connected_subset(c)
-        # maximality: no edge leaves the component
         cmask = sum(1 << v for v in c)
+        assert G.reach(1 << c[0], cmask) == cmask
+        # maximality: no edge leaves the component
         for v in c:
             assert G.adj_mask(v) & ~cmask == 0
 

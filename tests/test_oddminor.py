@@ -253,3 +253,14 @@ def test_verifier_rejects_a_repeated_tree_edge(edges):
         connectors={(0, 1): (2, 3)},
     )
     assert verify_odd_minor_model(Kt(4), Kt(2), model) == (False, "tree-not-acyclic")
+
+
+def test_verifier_rejects_a_cycle_with_the_edge_count_of_a_tree():
+    # a triangle on {0, 1, 2} has the 3 edges of a tree on {0, 1, 2, 3}
+    model = OddMinorModel(
+        trees={0: (0, 1, 2, 3), 1: (4,)},
+        tree_edges={0: ((0, 1), (1, 2), (0, 2)), 1: ()},
+        alpha=TwoColoring({0: 1, 1: 2, 2: 2, 3: 1, 4: 2}),
+        connectors={(0, 1): (3, 4)},
+    )
+    assert verify_odd_minor_model(Kt(5), Kt(2), model) == (False, "tree-not-connected")

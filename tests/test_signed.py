@@ -251,3 +251,15 @@ def test_verifier_rejects_a_repeated_tree_edge(edges):
     )
     ok, reason = verify_signed_minor_model(complete(4), complete(2), [(0, 1)], model)
     assert (ok, reason) == (False, "tree-not-acyclic")
+
+
+def test_verifier_rejects_a_cycle_with_the_edge_count_of_a_tree():
+    # a triangle on {0, 1, 2} has the 3 edges of a tree on {0, 1, 2, 3}
+    model = SignedMinorModel(
+        trees={0: (0, 1, 2, 3), 1: (4,)},
+        tree_edges={0: ((0, 1), (1, 2), (0, 2)), 1: ()},
+        tree_colorings={0: {0: 1, 1: 2, 2: 2, 3: 1}, 1: {4: 2}},
+        edge_witness={(0, 1): (3, 4)},
+    )
+    ok, reason = verify_signed_minor_model(complete(5), complete(2), [(0, 1)], model)
+    assert (ok, reason) == (False, "tree-not-connected")
