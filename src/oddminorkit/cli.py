@@ -383,33 +383,39 @@ _CSV_COLUMNS = [
 ]
 
 
+# each sweep kind's shape; complete_bipartite:M,N sweeps all 1<=m<=M, 1<=n<=N
+_SWEEP_SHAPES = {"complete_bipartite": "M,N", "cycle": "A-B", "random": "N,P,COUNT"}
+
+
 def _sweep_instances(sweep: str, seed: int):
     """Parse a sweep spec into (most vertices, lazy (label, Graph) pairs);
-    the count comes from the spec alone, before any graph is built.
-
-    Specs: complete_bipartite:M,N (all 1<=m<=M, 1<=n<=N) | cycle:A-B |
-    random:N,P,COUNT
-    """
+    the count comes from the spec alone, before any graph is built."""
     kind, _, arg = sweep.partition(":")
+    if kind not in _SWEEP_SHAPES:
+        raise ValueError(f"unknown sweep spec {sweep!r}")
+    shape = _SWEEP_SHAPES[kind]
+    sep = "-" if kind == "cycle" else ","
+    fields = arg.split(sep)
+    if len(fields) != len(shape.split(sep)):
+        raise ValueError(f"sweep spec {sweep!r} needs the shape {kind}:{shape}")
     if kind == "complete_bipartite":
-        M, N = (int(x) for x in arg.split(","))
+        M, N = (int(x) for x in fields)
         return M + N, ((f"complete_bipartite({m},{n})", complete_bipartite(m, n))
                        for m in range(1, M + 1) for n in range(1, N + 1))
     if kind == "cycle":
-        a, b = (int(x) for x in arg.split("-"))
+        a, b = (int(x) for x in fields)
         return b, ((f"cycle({n})", cycle(n)) for n in range(a, b + 1))
-    if kind == "random":
-        n, p, count = arg.split(",")
-        return int(n), ((f"random({n},{p},seed={seed + i})",
-                         random_graph(int(n), float(p), seed + i))
-                        for i in range(int(count)))
-    raise ValueError(f"unknown sweep spec {sweep!r}")
+    n, p, count = fields
+    return int(n), ((f"random({n},{p},seed={seed + i})",
+                     random_graph(int(n), float(p), seed + i))
+                    for i in range(int(count)))
 
 
 @main.command()
 @click.argument("graphs", nargs=-1, type=str)
 @click.option("--sweep", type=str, multiple=True,
-              help="generator sweep spec; may be repeated")
+              help="complete_bipartite:M,N | cycle:A-B | random:N,P,COUNT; "
+                   "may be repeated")
 @click.option("--format", "fmt", type=_FORMATS, default="graph6", show_default=True)
 @click.option("--t", "t", type=int, required=True)
 @click.option("--mode", type=click.Choice(["defective", "clustered"]),

@@ -341,8 +341,11 @@ def find_signed_minor(
     Pattern vertex i gets a connected vertex subset of G with a 2-coloring
     proper on a spanning tree of it; each pattern edge ji needs a G-edge
     between the two subsets whose ends get equal colors if ji is negative
-    and different colors if it is positive. Branch sets are tried by
-    increasing total size, so the first hit is a smallest model. When H is
+    and different colors if it is positive. The search tries total size h
+    (one vertex per branch set) first. If that fails, one pass with no size
+    bound decides whether any model exists, and an absent verdict ends
+    there. Otherwise the search deepens by increasing total size from h + 1,
+    so the first hit is still a smallest model. When H is
     complete, the unsigned K_h minor test runs first on the same subsets and
     its "no" is final; when moreover sigma_h is empty or E(H), every
     reordering of a model's branch sets is a model, so they are taken in
@@ -397,8 +400,15 @@ def find_signed_minor(
                         choice.pop()
         return False
 
-    if not any(rec(0, 0, budget) for budget in range(h, G.n + 1)):
-        return None
+    if not rec(0, 0, h):
+        # decide once at the full budget, then deepen from h + 1 so the
+        # first hit is still a smallest model
+        if G.n == h or not rec(0, 0, G.n):
+            return None
+        choice.clear()
+        for budget in range(h + 1, G.n + 1):
+            if rec(0, 0, budget):
+                break
 
     trees = {}
     tree_edges = {}

@@ -407,6 +407,10 @@ CONTRACT = [
     (["verify", "GRID", "COVER"], {}, 3, "size guard: find_odd_s_path: graph has 38 > 20"),
     # bound_N(2t - 2, t) passes the float range from t = 43 up
     (["color", "K33", "--t", "43"], {}, 0, '{"bound_N":null,'),
+    (["corpus", "--sweep", "cycle:3", "--t", "3"], {}, 4,
+     "error: sweep spec 'cycle:3' needs the shape cycle:A-B"),
+    (["corpus", "--sweep", "complete_bipartite:1", "--t", "3"], {}, 4,
+     "error: sweep spec 'complete_bipartite:1' needs the shape complete_bipartite:M,N"),
 ]
 
 

@@ -12,6 +12,8 @@ from oddminorkit import (
     TwoColoring,
     bipartition,
     complete,
+    complete_bipartite,
+    cycle,
     find_odd_clique_minor,
     find_signed_minor,
     has_clique_minor,
@@ -130,6 +132,15 @@ def test_complete_bipartite_has_no_odd_triangle():
         for n in range(1, 5):
             G = Graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
             assert find_odd_clique_minor(G, 3) is None
+
+
+@pytest.mark.parametrize("t", [3, 4])
+@pytest.mark.parametrize("G", [complete_bipartite(3, 4), complete_bipartite(4, 4), cycle(8)],
+                         ids=["K34", "K44", "C8"])
+def test_bipartite_hosts_are_absent_after_the_deciding_pass(G, t):
+    # bipartite, so no odd K_3 and no odd K_4; all but C_8 at t = 4 pass
+    # the unsigned pretest, so the full-budget pass gives the verdict
+    assert find_odd_clique_minor(G, t) is None
 
 
 def test_even_cycle_absent_odd_cycle_present():

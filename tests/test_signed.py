@@ -11,7 +11,9 @@ from oddminorkit import (
     SignedGraph,
     SignedMinorModel,
     complete,
+    complete_bipartite,
     cut_edges,
+    cycle,
     find_odd_clique_minor,
     find_signed_minor,
     is_balanced,
@@ -210,13 +212,24 @@ def signed_minor_instances(draw):
     return G, name, sigma
 
 
+ODD_K3 = [(0, 1), (0, 2), (1, 2)]
+
+
 # Pinned: the unsigned K_h pretest must not run for a non-complete H (P_3 in
 # a path), branch sets of a mixed-sign clique may not be taken in increasing
 # minimum vertex, and a model found outside the budget order is not smallest.
+# The last four name each way out of the budget loop: a model at budget h
+# (odd K_3 in K_3); budget h fails and a larger model exists (odd K_3 in C_5,
+# total size 5); the deciding pass fails after the unsigned pretest passed
+# (odd K_3 in K_{3,4}); a non-complete H is absent (C_4 in a path).
 @example((Graph(3, [(0, 2), (1, 2)]), "P3", []))
 @example((Graph(5, [(0, 1), (0, 2), (0, 4), (1, 3), (1, 4), (2, 3), (3, 4)]),
           "K4", [(0, 3), (1, 3)]))
 @example((Graph(6, [(0, 4), (0, 5), (2, 3), (2, 5), (3, 4), (3, 5)]), "K3", [(0, 1)]))
+@example((K3, "K3", ODD_K3))
+@example((cycle(5), "K3", ODD_K3))
+@example((complete_bipartite(3, 4), "K3", ODD_K3))
+@example((Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), "C4", []))
 @given(signed_minor_instances())
 def test_signed_minor_search_matches_brute_force_oracle(instance):
     G, name, sigma = instance
