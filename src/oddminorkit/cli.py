@@ -126,26 +126,39 @@ _GEN_PARAMS = {"complete": "N", "complete_bipartite": "M N", "cycle": "N", "rand
                "join_subdivision": "S T [COUNT]", "chorded_subdivision": "S T CHORDS"}
 
 
-def _gen_vertex_count(family: str, params: tuple[str, ...]) -> int:
-    """The most vertices `gen FAMILY PARAMS` can build, from PARAMS alone."""
+def _numbers(names: list[str], fields, message: str) -> list:
+    """The fields as numbers, a P field a float and the rest ints; a field
+    that is not one raises ValueError(message)."""
+    try:
+        return [float(x) if name == "P" else int(x) for name, x in zip(names, fields)]
+    except ValueError:
+        raise ValueError(message) from None
+
+
+def _gen_params(family: str, params: tuple[str, ...]) -> tuple[list, int]:
+    """PARAMS of `gen FAMILY` as numbers, with COUNT filled in, and the most
+    vertices they can build."""
     if family not in _GEN_PARAMS:
         raise ValueError(f"unknown family {family!r}")
     names = _GEN_PARAMS[family].split()
+    takes = f"{family} takes parameters {' '.join(names)}, got"
     if not sum(not p.startswith("[") for p in names) <= len(params) <= len(names):
-        raise ValueError(f"{family} takes parameters {' '.join(names)}, "
-                         f"got {len(params)}")
+        raise ValueError(f"{takes} {len(params)}")
+    nums = _numbers([p.strip("[]") for p in names], params,
+                    f"{takes} {' '.join(params)!r}")
+    if family == "join_subdivision" and len(nums) == 2:
+        nums.append(1)
     if family in ("complete", "cycle", "random"):
-        return int(params[0])
+        return nums, nums[0]
     if family == "complete_bipartite":
-        return int(params[0]) + int(params[1])
+        return nums, nums[0] + nums[1]
     # negative sizes are the generator's error to report, not a huge count
-    s, t = max(int(params[0]), 0), max(int(params[1]), 0)
+    s, t = max(nums[0], 0), max(nums[1], 0)
     pattern_edges = s * (s - 1) // 2 + s * t
     if family == "join_subdivision":
-        count = int(params[2]) if len(params) > 2 else 1
-        return s + t + pattern_edges * max(count, 0)
+        return nums, s + t + pattern_edges * max(nums[2], 0)
     # each pattern edge gets 1 or 3 subdivision vertices, each chord 0 or 2
-    return s + t + 3 * pattern_edges + 2 * int(params[2])
+    return nums, s + t + 3 * pattern_edges + 2 * nums[2]
 
 
 @main.command()
@@ -161,26 +174,24 @@ def gen(family: str, params: tuple[str, ...], seed: int, fmt: str, out: Optional
     Families: complete N | complete_bipartite M N | cycle N | random N P |
     join_subdivision S T [COUNT] | chorded_subdivision S T CHORDS
     """
-    n = _gen_vertex_count(family, params)
+    nums, n = _gen_params(family, params)
     if n > MAX_VERTICES:
         raise ValueError(f"{family} would have up to {n} vertices, "
                          f"more than the limit of {MAX_VERTICES}")
     cert = None
     if family == "complete":
-        G = complete(int(params[0]))
+        G = complete(*nums)
     elif family == "complete_bipartite":
-        G = complete_bipartite(int(params[0]), int(params[1]))
+        G = complete_bipartite(*nums)
     elif family == "cycle":
-        G = cycle(int(params[0]))
+        G = cycle(*nums)
     elif family == "random":
-        G = random_graph(int(params[0]), float(params[1]), seed)
+        G = random_graph(*nums, seed)
     elif family == "join_subdivision":
-        count = int(params[2]) if len(params) > 2 else 1
-        G, emb = join_subdivision(int(params[0]), int(params[1]), count)
-        cert = certs.certify_subdivision(G, emb, bipartite=count % 2 == 1)
+        G, emb = join_subdivision(*nums)
+        cert = certs.certify_subdivision(G, emb, bipartite=nums[2] % 2 == 1)
     else:
-        G, emb, _ = chorded_subdivision(int(params[0]), int(params[1]),
-                                        int(params[2]), seed)
+        G, emb, _ = chorded_subdivision(*nums, seed)
         cert = certs.certify_subdivision(G, emb)
     _write(_WRITERS[fmt](G), out)
     if cert is not None:
@@ -395,20 +406,23 @@ def _sweep_instances(sweep: str, seed: int):
         raise ValueError(f"unknown sweep spec {sweep!r}")
     shape = _SWEEP_SHAPES[kind]
     sep = "-" if kind == "cycle" else ","
-    fields = arg.split(sep)
-    if len(fields) != len(shape.split(sep)):
-        raise ValueError(f"sweep spec {sweep!r} needs the shape {kind}:{shape}")
+    fields, names = arg.split(sep), shape.split(sep)
+    needs = f"sweep spec {sweep!r} needs the shape {kind}:{shape}"
+    if len(fields) != len(names):
+        raise ValueError(needs)
+    nums = _numbers(names, fields, needs)
     if kind == "complete_bipartite":
-        M, N = (int(x) for x in fields)
+        M, N = nums
         return M + N, ((f"complete_bipartite({m},{n})", complete_bipartite(m, n))
                        for m in range(1, M + 1) for n in range(1, N + 1))
     if kind == "cycle":
-        a, b = (int(x) for x in fields)
+        a, b = nums
         return b, ((f"cycle({n})", cycle(n)) for n in range(a, b + 1))
-    n, p, count = fields
-    return int(n), ((f"random({n},{p},seed={seed + i})",
-                     random_graph(int(n), float(p), seed + i))
-                    for i in range(int(count)))
+    n, p, count = nums
+    # the label keeps N and P as written
+    return n, ((f"random({fields[0]},{fields[1]},seed={seed + i})",
+                random_graph(n, p, seed + i))
+               for i in range(count))
 
 
 @main.command()
@@ -439,12 +453,13 @@ def corpus(graphs: tuple[str, ...], sweep: tuple[str, ...], fmt: str, t: int,
                              f"more than the limit of {MAX_VERTICES}")
     instances = [(path, _read_graph(path, fmt)) for path in graphs]
     sweeps = []
-    for _, _, pairs in specs:
+    for sw, _, pairs in specs:
         # a sweep's first graph fails iff one of its graphs would, so
         # building it checks the spec; the rest are built when due
         first = next(pairs, None)
-        if first is not None:
-            sweeps.append(itertools.chain([first], pairs))
+        if first is None:
+            raise ValueError(f"sweep spec {sw!r} builds no graph")
+        sweeps.append(itertools.chain([first], pairs))
     bound = 6 * t - 9 if mode == "defective" else 10 * t - 13
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import AbstractSet, Callable, Optional
 
-from .graph import Graph, bipartition, bits
+from .graph import Graph, bipartition, bits, find_small_separation
 from .oddminor import OddMinorModel, relabel_model
 from .structure import Decomposition, structure_theorem
 from .subdivision import find_bipartite_join_subdivision, relabel_embedding
@@ -106,9 +106,7 @@ def _degeneracy_order(G: Graph) -> list[int]:
     return order
 
 
-def base_defective_coloring(
-    G: Graph, s: int, t: int
-) -> tuple[ColoringAssignment, int]:
+def base_defective_coloring(G: Graph, s: int) -> tuple[ColoringAssignment, int]:
     """Greedy low-defect coloring with s colors (1 color if edgeless).
 
     Vertices are colored in reverse degeneracy order, each taking the color
@@ -215,27 +213,44 @@ def precolor_extend(
     return ColoringAssignment(colors, k)
 
 
+def _fresh(f: dict[int, int], k: int) -> list[int]:
+    """The colors 1..k that the precoloring f does not use."""
+    used = set(f.values())
+    return [c for c in range(1, k + 1) if c not in used]
+
+
+def _extend_piece(
+    G: Graph, keep: set[int], Z: AbstractSet[int], f: dict[int, int], t: int,
+    d: int, base: BaseColorer, trace: list,
+) -> dict[int, int]:
+    """Extend f on Z to G[keep] (Z within keep), recursing on the induced
+    piece and mapping its colors, or its odd K_t model, back to G's ids."""
+    H, ids = G.induced(sorted(keep))
+    new = {old: i for i, old in enumerate(ids)}
+    try:
+        g = _extend(H, frozenset(new[z] for z in Z), {new[z]: f[z] for z in Z},
+                    t, d, base, trace)
+    except OddMinorFoundError as e:
+        raise OddMinorFoundError(t, relabel_model(e.model, ids)) from None
+    return {ids[v]: c for v, c in g.items()}
+
+
 def _extend(
     G: Graph, Z: frozenset[int], f: dict[int, int], t: int, d: int,
     base: BaseColorer, trace: list,
 ) -> dict[int, int]:
-    from .graph import find_small_separation
-
     k = d + 4 * t - 7
 
     if G.n <= 4 * t - 7:
         trace.append(f"base:|V|={G.n}")
         g = dict(f)
-        free = iter(c for c in range(1, k + 1) if c not in set(f.values()))
-        for v in G.vertices():
-            if v not in Z:
-                g[v] = next(free)
+        g.update(zip((v for v in G.vertices() if v not in Z), _fresh(f, k)))
         return g
 
     zz = [(u, v) for (u, v) in G.edges() if u in Z and v in Z]
     if zz:
         trace.append(f"stabilize:{len(zz)}")
-        return _extend(G.without_edges(zz), Z, f, t, d, base, trace)
+        G = G.without_edges(zz)
 
     sep = find_small_separation(G, Z, 2 * t - 3)
     if sep is not None:
@@ -243,31 +258,14 @@ def _extend(
         if len((B - A) & Z) > len(Z) // 2:
             A, B = B, A
         trace.append(f"split:order={len(A & B)}")
-        GA, ids_a = G.induced(sorted(A | Z))
-        back_a = {old: new for new, old in enumerate(ids_a)}
-        fa = {back_a[z]: f[z] for z in Z}
-        try:
-            ca = _extend(GA, frozenset(back_a[z] for z in Z), fa, t, d,
-                         base, trace)
-        except OddMinorFoundError as e:
-            raise OddMinorFoundError(t, relabel_model(e.model, ids_a)) from None
-        g1 = {ids_a[v]: c for v, c in ca.items()}
+        g1 = _extend_piece(G, A | Z, Z, f, t, d, base, trace)
         Zp = (A & B) | (B & Z)
         assert len(Zp) <= 4 * t - 7
-        GB, ids_b = G.induced(sorted(B))
-        back_b = {old: new for new, old in enumerate(ids_b)}
-        fb = {back_b[z]: g1[z] for z in Zp}
-        try:
-            cb = _extend(GB, frozenset(back_b[z] for z in Zp), fb, t, d,
-                         base, trace)
-        except OddMinorFoundError as e:
-            raise OddMinorFoundError(t, relabel_model(e.model, ids_b)) from None
-        g2 = {ids_b[v]: c for v, c in cb.items()}
+        g2 = _extend_piece(G, B, Zp, g1, t, d, base, trace)
         for z in Zp:
             assert g1[z] == g2[z], "split colorings disagree on the interface"
-        g = dict(g2)
-        g.update(g1)
-        return g
+        g2.update(g1)
+        return g2
 
     rest = sorted(set(G.vertices()) - Z)
     Gz, ids_z = G.induced(rest)
@@ -277,12 +275,10 @@ def _extend(
         trace.append("base-colorer")
         c0 = base(Gz)
         assert c0.palette_size <= d, "base colorer exceeded its palette"
-        banned = set(f.values())
-        fresh = [c for c in range(1, k + 1) if c not in banned]
-        remap = {old: fresh[old - 1] for old in range(1, c0.palette_size + 1)}
+        fresh = _fresh(f, k)
         g = dict(f)
         for v, c in c0.colors.items():
-            g[ids_z[v]] = remap[c]
+            g[ids_z[v]] = fresh[c - 1]
         return g
 
     trace.append("decompose")
@@ -294,7 +290,7 @@ def _extend(
     dec: Decomposition = out
     X, U = set(dec.X), set(dec.U)
     assert set(G.vertices()) - X - U <= Z, "stray vertex outside apex set and block"
-    avail = [c for c in range(1, 4 * t - 4 + 1) if c not in set(f.values())]
+    avail = _fresh(f, 4 * t - 4)
     assert len(avail) >= 3, "not enough fresh colors"
     c1, c2, c3 = avail[:3]
     UZ = U - Z
@@ -338,7 +334,7 @@ def color_defective(
     s = 2 * t - 2
 
     def base(H: Graph) -> ColoringAssignment:
-        return base_defective_coloring(H, s, t)[0]
+        return base_defective_coloring(H, s)[0]
 
     g = precolor_extend(G, frozenset(), {}, t, s, base, trace=trace)
     assert g.palette_size == 6 * t - 9
@@ -356,7 +352,7 @@ def color_clustered(
     s = 2 * t - 2
 
     def base(H: Graph) -> ColoringAssignment:
-        c1, _ = base_defective_coloring(H, s, t)
+        c1, _ = base_defective_coloring(H, s)
         combined: dict[int, int] = {}
         for col, members in c1.classes(H).items():
             sub, ids = H.induced(members)

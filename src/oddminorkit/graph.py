@@ -408,37 +408,18 @@ def to_dimacs(G: Graph) -> str:
 # ---------------------------------------------------------------------------
 
 
-def bipartition(G: Graph) -> Optional[TwoColoring]:
-    """Proper 2-coloring of all vertices, or None if G has an odd cycle.
-
-    Per component the coloring is canonical: the smallest vertex gets color 1.
-    """
+def _two_color(
+    G: Graph,
+) -> tuple[dict[int, int], dict[int, int], Optional[tuple[int, int]]]:
+    """The one 2-coloring search: (colors, search-tree parents, the first
+    edge whose ends got one color, or None). The smallest vertex of each
+    component gets color 1 and has no parent; the search stops at a bad edge."""
     color: dict[int, int] = {}
+    parent: dict[int, int] = {}
     for s in range(G.n):
         if s in color:
             continue
         color[s] = 1
-        queue = [s]
-        while queue:
-            v = queue.pop()
-            for w in bits(G.adj_mask(v)):
-                if w not in color:
-                    color[w] = 3 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-    return TwoColoring(color)
-
-
-def find_odd_cycle(G: Graph) -> Optional[Path]:
-    """An odd cycle witness (closed walk as v0..vk with v0 adjacent to vk), or None."""
-    color: dict[int, int] = {}
-    parent: dict[int, Optional[int]] = {}
-    for s in range(G.n):
-        if s in color:
-            continue
-        color[s] = 1
-        parent[s] = None
         queue = [s]
         while queue:
             v = queue.pop()
@@ -448,23 +429,35 @@ def find_odd_cycle(G: Graph) -> Optional[Path]:
                     parent[w] = v
                     queue.append(w)
                 elif color[w] == color[v]:
-                    # walk both parent chains to the common ancestor
-                    pv = []
-                    x: Optional[int] = v
-                    while x is not None:
-                        pv.append(x)
-                        x = parent[x]
-                    pw = []
-                    x = w
-                    while x is not None:
-                        pw.append(x)
-                        x = parent[x]
-                    sw = set(pw)
-                    anc = next(x for x in pv if x in sw)
-                    cyc = pv[: pv.index(anc) + 1] + list(reversed(pw[: pw.index(anc)]))
-                    assert len(cyc) % 2 == 1
-                    return Path(tuple(cyc))
-    return None
+                    return color, parent, (v, w)
+    return color, parent, None
+
+
+def bipartition(G: Graph) -> Optional[TwoColoring]:
+    """Proper 2-coloring of all vertices, or None if G has an odd cycle.
+
+    Per component the coloring is canonical: the smallest vertex gets color 1.
+    """
+    color, _, bad = _two_color(G)
+    return None if bad else TwoColoring(color)
+
+
+def find_odd_cycle(G: Graph) -> Optional[Path]:
+    """An odd cycle witness (closed walk as v0..vk with v0 adjacent to vk), or
+    None; the bad edge of bipartition's search closes it."""
+    _, parent, bad = _two_color(G)
+    if bad is None:
+        return None
+    # walk both parent chains to the common ancestor
+    pv, pw = [bad[0]], [bad[1]]
+    for chain in (pv, pw):
+        while chain[-1] in parent:
+            chain.append(parent[chain[-1]])
+    sw = set(pw)
+    anc = next(x for x in pv if x in sw)
+    cyc = pv[: pv.index(anc) + 1] + list(reversed(pw[: pw.index(anc)]))
+    assert len(cyc) % 2 == 1
+    return Path(tuple(cyc))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .graph import Graph, Path, TwoColoring, bipartition, blocks, complete
+from .graph import Graph, Path, TwoColoring, bipartition, bits, blocks, complete
 from .oddminor import OddMinorModel, is_parity_breaking, verify_odd_minor_model
 from .erdosposa import labelled_s_paths, parity_breaking_dichotomy
 from .subdivision import (
@@ -221,22 +221,12 @@ def build_odd_clique_model(
     # agrees with the union's coloring exactly when it sits on the stable side
     alpha: dict[int, int] = {}
     for i in range(t - 1):
-        adj: dict[int, list[int]] = {v: [] for v in tree_vs[i]}
-        for a, b in tree_es[i]:
-            adj[a].append(b)
-            adj[b].append(a)
-        root = xs[i]
-        alpha[root] = beta(root)
-        stack = [root]
-        seen = {root}
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    alpha[w] = 3 - alpha[v]
-                    stack.append(w)
-        assert seen == tree_vs[i]
+        tree = Graph(G.n, tree_es[i])
+        assert set(bits(tree.reach(1 << xs[i], (1 << G.n) - 1))) == tree_vs[i]
+        side = bipartition(tree)
+        flip = side(xs[i]) != beta(xs[i])
+        for v in tree_vs[i]:
+            alpha[v] = 3 - side(v) if flip else side(v)
     zt = z[t - 1]
     alpha[zt] = beta(zt) if not type_a(zt) else 3 - beta(zt)
 

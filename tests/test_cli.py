@@ -411,6 +411,16 @@ CONTRACT = [
      "error: sweep spec 'cycle:3' needs the shape cycle:A-B"),
     (["corpus", "--sweep", "complete_bipartite:1", "--t", "3"], {}, 4,
      "error: sweep spec 'complete_bipartite:1' needs the shape complete_bipartite:M,N"),
+    (["corpus", "--sweep", "cycle:a-b", "--t", "3"], {}, 4,
+     "error: sweep spec 'cycle:a-b' needs the shape cycle:A-B"),
+    (["corpus", "--sweep", "cycle:5-3", "--t", "3"], {}, 4,
+     "error: sweep spec 'cycle:5-3' builds no graph"),
+    (["corpus", "--sweep", "complete_bipartite:0,3", "--t", "3"], {}, 4,
+     "error: sweep spec 'complete_bipartite:0,3' builds no graph"),
+    (["corpus", "--sweep", "random:5,0.3,0", "--t", "3"], {}, 4,
+     "error: sweep spec 'random:5,0.3,0' builds no graph"),
+    (["gen", "cycle", "x"], {}, 4, "error: cycle takes parameters N, got 'x'"),
+    (["gen", "random", "5", "y"], {}, 4, "error: random takes parameters N P, got '5 y'"),
 ]
 
 

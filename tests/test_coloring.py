@@ -91,7 +91,7 @@ def test_base_defective_measures_truthfully(seed):
     rng = random.Random(seed)
     G = random_graph(rng.randint(1, 10), 0.4, seed)
     s = rng.randint(1, 4)
-    c, defect = base_defective_coloring(G, s, 3)
+    c, defect = base_defective_coloring(G, s)
     assert c.palette_size <= s
     assert defect == oracles.max_class_degree(G, c.colors)
     assert verify_coloring(G, c, "defective", defect)
@@ -109,7 +109,7 @@ def test_base_clustered_measures_truthfully(seed):
 
 def test_base_colorers_on_easy_shapes():
     tree = Graph(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
-    _, defect = base_defective_coloring(tree, 2, 3)
+    _, defect = base_defective_coloring(tree, 2)
     assert defect == 0  # trees are properly 2-colorable greedily
     _, cluster = base_clustered_coloring(cycle(6), 2, 3)
     assert cluster <= 2
@@ -209,6 +209,64 @@ def test_trace_reports_recursion_cases():
     assert trace and all(isinstance(x, str) for x in trace)
 
 
+# K_{4,9} at t = 3 has no separation of order <= 3 and holds a bipartite
+# K_4 + I_3 subdivision, so the recursion reaches the decompose step at once;
+# the edges (4,5) and (6,7) inside the 9-side make that step find an odd K_3
+K49 = complete_bipartite(4, 9)
+K49_ODD = Graph(13, list(K49.edges()) + [(4, 5), (6, 7)])
+
+
+@pytest.mark.parametrize("mode", ["defective", "clustered"])
+def test_decompose_step_colors_a_complete_bipartite_host(mode):
+    color = color_defective if mode == "defective" else color_clustered
+    trace: list = []
+    g, value = color(K49, 3, trace=trace)
+    assert trace == ["decompose"]
+    assert verify_coloring(K49, g, mode, value)
+
+
+@pytest.mark.parametrize("color", [color_defective, color_clustered])
+def test_decompose_step_raises_a_verified_odd_minor(color):
+    trace: list = []
+    with pytest.raises(OddMinorFoundError) as e:
+        color(K49_ODD, 3, trace=trace)
+    assert trace == ["decompose"]
+    ok, reason = verify_odd_minor_model(K49_ODD, Kt(3), e.value.model)
+    assert ok, reason
+
+
+@pytest.mark.parametrize("color", [color_defective, color_clustered])
+@pytest.mark.parametrize("shift, trace_head", [
+    # pendant path 0-13-14: the odd K_3 surfaces on the first split side
+    (0, ["split:order=1", "decompose"]),
+    # the same host renumbered v -> v + 2 mod 15, so the path comes first and
+    # the odd K_3 surfaces on the second split side, under nontrivial ids
+    (2, ["split:order=1", "base:|V|=2", "decompose"]),
+])
+def test_split_maps_a_surfaced_model_back_to_the_host(monkeypatch, color, shift,
+                                                       trace_head):
+    from oddminorkit import coloring
+
+    n = 15
+    edges = list(K49_ODD.edges()) + [(0, 13), (13, 14)]
+    G = Graph(n, [((u + shift) % n, (v + shift) % n) for u, v in edges])
+    mapped = []
+    real = coloring.relabel_model
+
+    def spy(model, ids):
+        mapped.append(list(ids))
+        return real(model, ids)
+
+    monkeypatch.setattr(coloring, "relabel_model", spy)
+    trace: list = []
+    with pytest.raises(OddMinorFoundError) as e:
+        color(G, 3, trace=trace)
+    assert trace == trace_head
+    assert len(mapped) == 1 and len(mapped[0]) < n
+    ok, reason = verify_odd_minor_model(G, Kt(3), e.value.model)
+    assert ok, reason
+
+
 @given(st.integers(0, 150))
 def test_precoloring_contract(seed):
     rng = random.Random(seed)
@@ -220,7 +278,7 @@ def test_precoloring_contract(seed):
     f = {z: rng.randint(1, k) for z in zs}
 
     def base(H):
-        return base_defective_coloring(H, d, t)[0]
+        return base_defective_coloring(H, d)[0]
 
     try:
         g = precolor_extend(G, frozenset(zs), f, t, d, base)
@@ -242,7 +300,7 @@ def test_precolor_extend_validates_input():
     G = cycle(4)
 
     def base(H):
-        return base_defective_coloring(H, 4, 3)[0]
+        return base_defective_coloring(H, 4)[0]
 
     with pytest.raises(ValueError):
         precolor_extend(G, frozenset({0}), {}, 3, 4, base)
