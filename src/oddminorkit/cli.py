@@ -230,7 +230,8 @@ def _kt_signature(text: str, t: int) -> list[tuple[int, int]]:
 @click.option("--out", type=str, default=None)
 def detect(graph: str, fmt: str, mode: str, t: int, s: Optional[int],
            sigma: str, limit: Optional[int], out: Optional[str]):
-    """Search exhaustively for the requested substructure.
+    """Search for the requested substructure, exhaustively except that the
+    odd-clique mode settles a bipartite host at t >= 3 by its 2-coloring.
 
     Prints a certificate (exit 2) or "absent" (exit 0).
     """

@@ -313,8 +313,7 @@ def _maybe_precheck(G: Graph, t: int) -> None:
     """Search a host of at most 10 vertices for an odd K_t minor up front."""
     from .oddminor import find_odd_clique_minor
 
-    # every odd K_t (t >= 3) holds an odd K_3, which exists iff G is not bipartite
-    if G.n <= 10 and not (t >= 3 and bipartition(G) is not None):
+    if G.n <= 10:
         model = find_odd_clique_minor(G, t)
         if model is not None:
             raise OddMinorFoundError(t, model)
@@ -326,8 +325,9 @@ def color_defective(
     """Color with at most 6t-9 colors; returns the coloring and the achieved
     defect. Raises OddMinorFoundError with a certificate when an odd K_t
     minor surfaces (always on graphs with at most 10 vertices, which are
-    checked up front; for t >= 3 that check settles a bipartite host by its
-    2-coloring, without the exhaustive search)."""
+    checked up front by `find_odd_clique_minor`; for t >= 3 the detector
+    settles a bipartite host by its 2-coloring, without the exhaustive
+    search)."""
     if t < 2:
         raise ValueError("t must be >= 2")
     _maybe_precheck(G, t)

@@ -25,6 +25,7 @@ from oddminorkit import (
     complete_bipartite,
     cut_edges,
     find_odd_clique_minor,
+    find_signed_minor,
     odd_s_paths_dichotomy,
     precolor_extend,
     random_graph,
@@ -73,9 +74,14 @@ def test_criterion_01_odd_k3_iff_non_bipartite():
 
     def agrees(G):
         # every model found is checked, so the detector's renaming of the
-        # signed model is verified on every host
+        # signed model is verified on every host; the detector settles a
+        # bipartite host by its 2-coloring, so the engine's exhaustive
+        # absent verdict is asserted on those hosts directly
         model = find_odd_clique_minor(G, 3)
-        assert (model is None) == (bipartition(G) is not None), G
+        bipartite = bipartition(G) is not None
+        assert (model is None) == bipartite, G
+        if bipartite:
+            assert find_signed_minor(G, K3, K3.edges()) is None, G
         if model is not None:
             ok, reason = verify_odd_minor_model(G, K3, model)
             assert ok, (G, reason)
@@ -99,9 +105,12 @@ def test_criterion_01_odd_k3_iff_non_bipartite():
 
 def test_criterion_02_complete_bipartite_has_no_odd_k3():
     t0 = time.time()
+    K3 = Kt(3)
     for m in range(1, 5):
         for n in range(1, 5):
-            assert find_odd_clique_minor(complete_bipartite(m, n), 3) is None
+            G = complete_bipartite(m, n)
+            assert find_odd_clique_minor(G, 3) is None
+            assert find_signed_minor(G, K3, K3.edges()) is None
     report(2, "K_{m,n} for 1<=m,n<=4 all absent", t0, 60)
 
 

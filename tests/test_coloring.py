@@ -20,6 +20,7 @@ from oddminorkit import (
     complete_bipartite,
     cycle,
     find_odd_clique_minor,
+    find_signed_minor,
     precolor_extend,
     random_graph,
     verify_coloring,
@@ -175,10 +176,10 @@ BIPARTITE_HOSTS = [complete_bipartite(3, 3), complete_bipartite(4, 5), cycle(8)]
 
 
 def test_bipartite_hosts_skip_the_exhaustive_precheck(monkeypatch):
-    def search(G, t, limit=None):
+    def search(G, H, sigma_h, limit=None):
         raise AssertionError("exhaustive odd-clique search on a bipartite host")
 
-    monkeypatch.setattr(oddminor, "find_odd_clique_minor", search)
+    monkeypatch.setattr(oddminor, "find_signed_minor", search)
     for t in (3, 4):
         for G in BIPARTITE_HOSTS:
             c, defect = color_defective(G, t)
@@ -193,6 +194,7 @@ def test_bipartite_shortcut_matches_the_exhaustive_oracle():
         assert bipartition(G) is not None
         for t in (3, 4):
             assert find_odd_clique_minor(G, t) is None
+            assert find_signed_minor(G, complete(t), complete(t).edges()) is None
 
 
 def test_precheck_obeys_the_size_guard(monkeypatch):
@@ -201,6 +203,10 @@ def test_precheck_obeys_the_size_guard(monkeypatch):
     with pytest.raises(SizeLimitError) as e:
         color_defective(cycle(5), 3)
     assert str(e.value) == "find_odd_clique_minor: graph has 5 > 4 vertices"
+    # a bipartite host too: the precheck is the detector, guard first
+    with pytest.raises(SizeLimitError) as e:
+        color_defective(cycle(6), 3)
+    assert str(e.value) == "find_odd_clique_minor: graph has 6 > 4 vertices"
 
 
 def test_trace_reports_recursion_cases():

@@ -20,6 +20,7 @@ from oddminorkit import (
     is_parity_breaking,
     verify_odd_minor_model,
 )
+from oddminorkit import oddminor
 from oddminorkit.graph import SizeLimitError
 
 import oracles
@@ -132,6 +133,7 @@ def test_complete_bipartite_has_no_odd_triangle():
         for n in range(1, 5):
             G = Graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
             assert find_odd_clique_minor(G, 3) is None
+            assert find_signed_minor(G, Kt(3), Kt(3).edges()) is None
 
 
 @pytest.mark.parametrize("t", [3, 4])
@@ -139,8 +141,72 @@ def test_complete_bipartite_has_no_odd_triangle():
                          ids=["K34", "K44", "C8"])
 def test_bipartite_hosts_are_absent_after_the_deciding_pass(G, t):
     # bipartite, so no odd K_3 and no odd K_4; all but C_8 at t = 4 pass
-    # the unsigned pretest, so the full-budget pass gives the verdict
+    # the unsigned pretest, so the engine's full-budget pass gives the
+    # verdict (the detector itself answers from the 2-coloring)
     assert find_odd_clique_minor(G, t) is None
+    assert find_signed_minor(G, Kt(t), Kt(t).edges()) is None
+
+
+def _seeded_host(seed, bipartite):
+    """A seeded graph on 1..8 vertices; if bipartite, edges only across a
+    random split of the vertices."""
+    import random
+
+    rng = random.Random(seed)
+    n = rng.randint(1, 8)
+    side = [rng.randint(0, 1) for _ in range(n)]
+    p = rng.choice((0.3, 0.5, 0.8))
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if (side[u] != side[v] or not bipartite) and rng.random() < p])
+
+
+@pytest.mark.parametrize("t", [3, 4])
+def test_bipartite_hosts_never_reach_the_engine(monkeypatch, t):
+    def engine(G, H, sigma_h, limit=None):
+        raise AssertionError("exhaustive search on a bipartite host")
+
+    monkeypatch.setattr(oddminor, "find_signed_minor", engine)
+    hosts = [complete_bipartite(3, 4), complete_bipartite(4, 4), cycle(8)]
+    hosts += [_seeded_host(seed, True) for seed in range(40)]
+    for G in hosts:
+        assert bipartition(G) is not None
+        assert find_odd_clique_minor(G, t) is None
+
+
+@pytest.mark.parametrize("G,t", [(complete_bipartite(3, 4), 2), (cycle(5), 3)],
+                         ids=["K34-t2", "C5-t3"])
+def test_other_hosts_still_reach_the_engine(monkeypatch, G, t):
+    calls = []
+
+    def engine(*args, **kwargs):
+        calls.append(args)
+        return find_signed_minor(*args, **kwargs)
+
+    monkeypatch.setattr(oddminor, "find_signed_minor", engine)
+    model = find_odd_clique_minor(G, t)
+    assert len(calls) == 1
+    ok, reason = verify_odd_minor_model(G, Kt(t), model)
+    assert ok, reason
+
+
+def test_detector_agrees_with_the_engine_on_seeded_hosts():
+    # the detector's verdict, and its model when present, are the engine's
+    searches = on_bipartite = present = 0
+    for seed in range(300):
+        for G in (_seeded_host(seed, True), _seeded_host(seed, False)):
+            for t in (3, 4):
+                model = find_odd_clique_minor(G, t)
+                signed = find_signed_minor(G, Kt(t), Kt(t).edges())
+                assert (model is None) == (signed is None), (seed, G, t)
+                if model is not None:
+                    assert model.trees == signed.trees
+                    assert model.tree_edges == signed.tree_edges
+                    assert model.connectors == signed.edge_witness
+                    present += 1
+                searches += 1
+                on_bipartite += bipartition(G) is not None
+    # 1 200 searches on 600 hosts, bipartite and not, with both verdicts
+    assert searches == 1200 and on_bipartite >= 500 and present >= 100
 
 
 def test_even_cycle_absent_odd_cycle_present():
@@ -156,6 +222,8 @@ def test_size_guard():
     G = Graph(15, [])
     with pytest.raises(SizeLimitError):
         find_odd_clique_minor(G, 2)
+    with pytest.raises(SizeLimitError):  # before the bipartite shortcut
+        find_odd_clique_minor(G, 3)
     assert find_odd_clique_minor(G, 2, limit=15) is None
 
 
