@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .coloring import ColoringAssignment, verify_coloring
+from .coloring import ColoringAssignment, _palette_fault, verify_coloring
 from .erdosposa import find_odd_s_path
 from .graph import Graph, Path, TwoColoring, bipartition, blocks, _norm_edge
 from .oddminor import OddMinorModel, verify_odd_minor_model
@@ -375,8 +375,9 @@ def _verify_coloring_payload(G: Graph, payload: dict) -> tuple[bool, str]:
     c = coloring_of(payload)
     if set(c.colors) != set(G.vertices()):
         return False, "coloring-not-total"
-    if any(not 1 <= col <= c.palette_size for col in c.colors.values()):
-        return False, "color-out-of-palette"
+    fault = _palette_fault(c)
+    if fault is not None:
+        return False, fault
     if c.palette_size > payload["bound"]:
         return False, "palette-exceeds-bound"
     if not verify_coloring(G, c, mode, payload["value"]):

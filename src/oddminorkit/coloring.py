@@ -70,19 +70,31 @@ def _achieved_cluster(G: Graph, colors: dict[int, int]) -> int:
     return worst
 
 
+def _palette_fault(c: ColoringAssignment) -> Optional[str]:
+    """Why c's colors are not integers in 1..c.palette_size, or None.
+
+    Colors and the palette size must be ints (not bools): colors 1.0, 1.2,
+    ..., 2.0 lie between 1 and 2 yet make six classes of a palette of two."""
+    if any(type(col) is not int for col in c.colors.values()):
+        return "color-not-an-integer"
+    p = c.palette_size
+    if type(p) is not int or any(not 1 <= col <= p for col in c.colors.values()):
+        return "color-out-of-palette"
+    return None
+
+
 def verify_coloring(G: Graph, c: ColoringAssignment, mode: str, value: int) -> bool:
-    """True iff c colors every vertex of G from 1..c.palette_size and its
-    measure is at most value: the defect (mode "defective") or the largest
-    monochromatic component (mode "clustered")."""
+    """True iff c colors every vertex of G from 1..c.palette_size, colors
+    and palette size being ints and not bools, and its measure is at most
+    value: the defect (mode "defective") or the largest monochromatic
+    component (mode "clustered")."""
     if mode == "defective":
         measure = _achieved_defect
     elif mode == "clustered":
         measure = _achieved_cluster
     else:
         raise ValueError(f"unknown coloring mode {mode!r}")
-    if set(c.colors) != set(G.vertices()):
-        return False
-    if any(not 1 <= col <= c.palette_size for col in c.colors.values()):
+    if set(c.colors) != set(G.vertices()) or _palette_fault(c) is not None:
         return False
     return measure(G, c.colors) <= value
 

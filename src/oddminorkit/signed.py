@@ -200,30 +200,31 @@ def verify_signed_minor_model(
     return True, "ok"
 
 
-def _connected_subsets(G: Graph) -> list[int]:
-    """All connected vertex subsets as bitmasks, ordered by size then value."""
-    n = G.n
-    conn: set[int] = set(1 << v for v in range(n))
-    frontier = list(conn)
-    while frontier:
-        new = []
-        for m in frontier:
-            reach = 0
-            mm = m
-            while mm:
-                b = mm & -mm
-                reach |= G.adj_mask(b.bit_length() - 1)
-                mm ^= b
-            reach &= ~m
-            while reach:
-                b = reach & -reach
+def _connected_subsets(G: Graph) -> list[tuple[int, int]]:
+    """All connected vertex subsets as (mask, neighbourhood) pairs, ordered by
+    size then mask; the neighbourhood is the vertices outside the mask that
+    are adjacent to it.
+
+    Built one size layer at a time: layer k + 1 is every m | b with m in
+    layer k and b in N(m), and N(m | b) = (N(m) | N(b)) - (m | b) is
+    computed once, when that set is first made.
+    """
+    adj = [G.adj_mask(v) for v in range(G.n)]
+    layer = {1 << v: adj[v] for v in range(G.n)}
+    out: list[tuple[int, int]] = []
+    while layer:
+        out += sorted(layer.items())
+        grown: dict[int, int] = {}
+        for m, nb in layer.items():
+            rest = nb
+            while rest:
+                b = rest & -rest
+                rest ^= b
                 cand = m | b
-                if cand not in conn:
-                    conn.add(cand)
-                    new.append(cand)
-                reach ^= b
-        frontier = new
-    return sorted(conn, key=lambda m: (bin(m).count("1"), m))
+                if cand not in grown:
+                    grown[cand] = (nb | adj[b.bit_length() - 1]) & ~cand
+        layer = grown
+    return out
 
 
 def _valid_colorings(G: Graph, mask: int) -> list[int]:
@@ -294,32 +295,28 @@ def _spanning_tree_of_disagreement(G: Graph, mask: int, c: int) -> list[Edge]:
     return edges
 
 
-def has_clique_minor(G: Graph, t: int, conn: Optional[list[int]] = None) -> bool:
+def has_clique_minor(
+    G: Graph, t: int, conn: Optional[list[tuple[int, int]]] = None
+) -> bool:
     """Unsigned K_t minor test: t disjoint, pairwise adjacent connected
-    subsets, taken in increasing minimum vertex. conn, when given, is
-    _connected_subsets(G)."""
+    subsets, taken in increasing minimum vertex. conn, when given, is the
+    (mask, neighbourhood) pair list of _connected_subsets(G)."""
     if t <= 0:
         return True
     if G.n < t:
         return False
     if conn is None:
         conn = _connected_subsets(G)
-    nbr = {}
-    for m in conn:
-        r = 0
-        for v in bits(m):
-            r |= G.adj_mask(v)
-        nbr[m] = r & ~m
 
     parts: list[int] = []
 
     def rec(used: int, lowbound: int) -> bool:
         if len(parts) == t:
             return True
-        for m in conn:
+        for m, nb in conn:
             if m & used or (m & -m) < lowbound:
                 continue
-            if any(nbr[m] & p == 0 for p in parts):
+            if any(nb & p == 0 for p in parts):
                 continue
             parts.append(m)
             if rec(used | m, m & -m):
@@ -378,7 +375,7 @@ def find_signed_minor(
         i = len(choice)
         if i == h:
             return True
-        for mask in conn:
+        for mask, _ in conn:
             k = mask.bit_count()
             if k > budget - (h - i - 1):
                 break  # conn is sorted by size; all later masks too big

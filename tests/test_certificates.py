@@ -152,6 +152,9 @@ def test_coloring_value_is_checked():
     assert not ok and reason == "reported-quality-not-met"
 
 
+FRACTIONAL = {str(v): 1 + v / 7 for v in range(8)}
+
+
 @pytest.mark.parametrize("mode, edit, reason", [
     ("defective", {}, "ok"),
     ("clustered", {}, "ok"),
@@ -168,6 +171,13 @@ def test_coloring_value_is_checked():
     ("clustered", {"palette": 18}, "palette-exceeds-bound"),
     ("clustered", {"value": 0}, "reported-quality-not-met"),
     ("defective", {"value": -1}, "reported-quality-not-met"),
+    # eight distinct colors 1.0..2.0 passed off as a palette of two
+    ("defective", {"colors": FRACTIONAL, "palette": 2, "value": 0}, "color-not-an-integer"),
+    ("clustered", {"colors": FRACTIONAL, "palette": 2, "value": 1}, "color-not-an-integer"),
+    ("defective", {"colors": {str(v): True for v in range(8)}, "palette": 1, "value": 4},
+     "color-not-an-integer"),
+    ("defective", {"palette": 2.0}, "color-out-of-palette"),
+    ("clustered", {"palette": 4.5}, "color-out-of-palette"),
 ])
 def test_coloring_claims_are_checked_against_the_theorem(mode, edit, reason):
     K44 = complete_bipartite(4, 4)

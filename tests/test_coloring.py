@@ -31,6 +31,7 @@ from oddminorkit.graph import bipartition, bits
 from oddminorkit.coloring import (
     _achieved_cluster,
     _achieved_defect,
+    _palette_fault,
     base_clustered_coloring,
     base_defective_coloring,
 )
@@ -62,6 +63,24 @@ def test_verify_coloring():
     assert not verify_coloring(C4, out_of_palette, "defective", 2)
     with pytest.raises(ValueError):
         verify_coloring(C4, good, "bogus", 4)
+
+
+def test_verify_coloring_refuses_colors_that_are_not_integers():
+    K6 = complete(6)
+    # colors 1.0, 1.2, ..., 2.0 lie in 1..2 but make six classes of a palette of two
+    frac = ColoringAssignment({v: 1 + v / 5 for v in range(6)}, 2)
+    assert _palette_fault(frac) == "color-not-an-integer"
+    assert not verify_coloring(K6, frac, "defective", 0)
+    assert not verify_coloring(K6, frac, "clustered", 1)
+    ones = {v: 1 for v in range(6)}
+    assert verify_coloring(K6, ColoringAssignment(ones, 1), "defective", 5)
+    flags = ColoringAssignment({v: True for v in range(6)}, 1)
+    assert _palette_fault(flags) == "color-not-an-integer"
+    assert not verify_coloring(K6, flags, "defective", 5)
+    for palette in (1.0, True, 1.5):
+        c = ColoringAssignment(ones, palette)
+        assert _palette_fault(c) == "color-out-of-palette"
+        assert not verify_coloring(K6, c, "clustered", 6)
 
 
 def random_coloring(seed):

@@ -1,6 +1,9 @@
 """Signed graphs: re-signing algebra, balance, equivalence, signed minors."""
 
+import hashlib
 import itertools
+import random
+from dataclasses import fields, is_dataclass
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -17,11 +20,13 @@ from oddminorkit import (
     find_odd_clique_minor,
     find_signed_minor,
     is_balanced,
+    random_graph,
     resign,
     signatures_equivalent,
     verify_signed_minor_model,
 )
 from oddminorkit.graph import SizeLimitError, bits
+from oddminorkit.signed import _connected_subsets
 
 import oracles
 
@@ -244,6 +249,57 @@ def test_signed_minor_search_matches_brute_force_oracle(instance):
         assert ok, reason
         # branch sets come by increasing total size: a smallest model
         assert sum(len(vs) for vs in model.trees.values()) == want
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_connected_subset_table_matches_brute_force(seed):
+    rng = random.Random(seed)
+    G = random_graph(rng.randint(0, 9), rng.choice((0.2, 0.35, 0.5, 0.8)), seed)
+    # every mask whose flood-fill from its lowest vertex is itself
+    want = sorted((m for m in range(1, 1 << G.n) if G.reach(m & -m, m) == m),
+                  key=lambda m: (m.bit_count(), m))
+    table = _connected_subsets(G)
+    assert [m for m, _ in table] == want
+    for m, nb in table:
+        union = 0
+        for v in bits(m):
+            union |= G.adj_mask(v)
+        assert nb == union & ~m
+
+
+def _canonical(x):
+    """A model as nested lists with every dict sorted by key."""
+    if is_dataclass(x):
+        return [_canonical(getattr(x, f.name)) for f in fields(x)]
+    if isinstance(x, dict):
+        return sorted((k, _canonical(v)) for k, v in x.items())
+    return x
+
+
+# sha256 over the models (or None) of 480 seeded searches, recorded before the
+# connected-subset table carried neighbourhoods; a change to the engine that
+# keeps its witnesses keeps this hash
+WITNESS_PIN = "95846408e1aa1ae1ef94fd5df7b79de91d13e78246107ae8f7c98c140dcb8660"
+
+
+def test_seeded_witnesses_are_pinned():
+    rng = random.Random(20161014)
+    out = []
+    for i in range(480):
+        G = random_graph(rng.randint(1, 8), rng.choice((0.3, 0.5, 0.7)),
+                         rng.randrange(10**6))
+        h = rng.randint(1, 4)
+        if i % 2:
+            model = find_odd_clique_minor(G, h)
+        else:
+            pairs = itertools.combinations(range(h), 2)
+            H = Graph(h, [e for e in pairs if rng.random() < 0.7])
+            sigma = [e for e in H.edges() if rng.random() < 0.5]
+            model = find_signed_minor(G, H, sigma)
+        out.append(repr(_canonical(model)))
+    assert sum(m != "None" for m in out) == 311
+    digest = hashlib.sha256("\n".join(out).encode()).hexdigest()
+    assert digest == WITNESS_PIN
 
 
 def test_size_guard_message_names_layer_size_and_limit(monkeypatch):
