@@ -79,10 +79,19 @@ def serialize_certificate(cert: Certificate) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object, refused when a key repeats: json keeps the last."""
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        raise CertificateError("an object repeats a key")
+    return doc
+
+
 def parse_certificate(text: str) -> Certificate:
-    """Strict parse: schema version pinned, unknown fields rejected."""
+    """Strict parse: schema version pinned, unknown fields and repeated keys
+    rejected."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as e:  # also over-long ints, deep nesting
         raise CertificateError(f"not valid JSON: {e}") from None
     if not isinstance(doc, dict):
@@ -221,6 +230,15 @@ def certify_coloring(
 # ---------------------------------------------------------------------------
 
 
+def _key(k: str) -> int:
+    """A vertex or pattern id map key, read only in its canonical form, so
+    two keys of one map never name the same id."""
+    v = int(k)
+    if str(v) != k:
+        raise ValueError(f"non-canonical key {k!r}")
+    return v
+
+
 def _pattern_of(payload: dict) -> Graph:
     return Graph(payload["pattern_n"], [tuple(e) for e in payload["pattern_edges"]])
 
@@ -233,12 +251,12 @@ def odd_minor_model_of(payload: dict) -> tuple[Graph, OddMinorModel]:
         vs = c["vertices"]
         connectors[e] = Path(tuple(vs)) if c["form"] == "path" else (vs[0], vs[1])
     model = OddMinorModel(
-        trees={int(u): tuple(vs) for u, vs in payload["trees"].items()},
+        trees={_key(u): tuple(vs) for u, vs in payload["trees"].items()},
         tree_edges={
-            int(u): tuple(tuple(e) for e in es)
+            _key(u): tuple(tuple(e) for e in es)
             for u, es in payload["tree_edges"].items()
         },
-        alpha=TwoColoring({int(v): c for v, c in payload["alpha"].items()}),
+        alpha=TwoColoring({_key(v): c for v, c in payload["alpha"].items()}),
         connectors=connectors,
     )
     return H, model
@@ -248,13 +266,13 @@ def signed_minor_model_of(payload: dict) -> tuple[Graph, list, SignedMinorModel]
     H = _pattern_of(payload)
     sigma = [tuple(e) for e in payload["pattern_signature"]]
     model = SignedMinorModel(
-        trees={int(u): tuple(vs) for u, vs in payload["trees"].items()},
+        trees={_key(u): tuple(vs) for u, vs in payload["trees"].items()},
         tree_edges={
-            int(u): tuple(tuple(e) for e in es)
+            _key(u): tuple(tuple(e) for e in es)
             for u, es in payload["tree_edges"].items()
         },
         tree_colorings={
-            int(u): {int(v): c for v, c in col.items()}
+            _key(u): {_key(v): c for v, c in col.items()}
             for u, col in payload["tree_colorings"].items()
         },
         edge_witness={
@@ -269,7 +287,7 @@ def subdivision_of(payload: dict) -> SubdivisionEmbedding:
     return SubdivisionEmbedding(
         payload["s"],
         payload["t"],
-        {int(p): g for p, g in payload["branch"].items()},
+        {_key(p): g for p, g in payload["branch"].items()},
         {
             _norm_edge(*l["edge"]): Path(tuple(l["path"]))
             for l in payload["linking"]
@@ -279,7 +297,7 @@ def subdivision_of(payload: dict) -> SubdivisionEmbedding:
 
 def coloring_of(payload: dict) -> ColoringAssignment:
     return ColoringAssignment(
-        {int(v): c for v, c in payload["colors"].items()}, payload["palette"]
+        {_key(v): c for v, c in payload["colors"].items()}, payload["palette"]
     )
 
 
@@ -291,7 +309,7 @@ def coloring_of(payload: dict) -> ColoringAssignment:
 def _check_s_l(G: Graph, payload: dict) -> str:
     """Reason the S and l fields of a packing/cover payload are unusable, or ""."""
     l = payload["l"]
-    if not isinstance(l, int) or l < 1:
+    if not isinstance(l, int) or isinstance(l, bool) or l < 1:
         return "l-out-of-range"
     if any(not 0 <= v < G.n for v in payload["S"]):
         return "s-out-of-range"
@@ -336,6 +354,8 @@ def _verify_cover(G: Graph, payload: dict) -> tuple[bool, str]:
 
 def _verify_decomposition(G: Graph, payload: dict) -> tuple[bool, str]:
     t = payload["t"]
+    if not isinstance(t, int) or t < 2:
+        return False, "t-out-of-range"
     X = frozenset(payload["X"])
     U = frozenset(payload["U"])
     if X & U:

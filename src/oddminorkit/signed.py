@@ -227,39 +227,42 @@ def _connected_subsets(G: Graph) -> list[tuple[int, int]]:
     return out
 
 
+def _disagreement_tree(G: Graph, mask: int, c: int) -> Optional[list[Edge]]:
+    """The DFS tree, from the lowest vertex of mask, of the edges of G[mask]
+    whose ends get different colors under c (bit set = color 2), or None when
+    it does not span mask. It spans mask exactly when c is proper on some
+    spanning tree of G[mask]."""
+    low = mask & -mask
+    seen = low
+    stack = [low.bit_length() - 1]
+    edges: list[Edge] = []
+    while stack:
+        v = stack.pop()
+        other = mask & ~c if (c >> v) & 1 else c
+        for w in bits(G.adj_mask(v) & other & ~seen):
+            seen |= 1 << w
+            edges.append(_norm_edge(v, w))
+            stack.append(w)
+    return edges if seen == mask else None
+
+
 def _valid_colorings(G: Graph, mask: int) -> list[int]:
-    """Color masks c (bit set = color 2) such that the disagreement graph on
-    the subset spans it; exactly the colorings proper on some spanning tree.
+    """Color masks c (bit set = color 2), ascending, that have a disagreement
+    tree: exactly the colorings proper on some spanning tree of G[mask].
 
     The lowest vertex is pinned to color 1; flipping colors is symmetric for
     odd-minor use but NOT for general signed patterns, so callers must try
     both c and its complement.
     """
-    vs = bits(mask)
-    if len(vs) == 1:
-        return [0]
-    low = mask & -mask
+    free = mask & (mask - 1)
     out = []
-    free = [v for v in vs if (1 << v) != low]
-    for combo in range(1 << len(free)):
-        c = 0
-        for i, v in enumerate(free):
-            if (combo >> i) & 1:
-                c |= 1 << v
-        # disagreement graph: edges uv in G[mask] with different colors
-        start = low.bit_length() - 1
-        seen = low
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            cv = (c >> v) & 1
-            for w in bits(G.adj_mask(v) & mask & ~seen):
-                if ((c >> w) & 1) != cv:
-                    seen |= 1 << w
-                    stack.append(w)
-        if seen == mask:
+    c = 0
+    while True:  # every submask of free, ascending
+        if _disagreement_tree(G, mask, c) is not None:
             out.append(c)
-    return out
+        if c == free:
+            return out
+        c = (c - free) & free
 
 
 def _mono_edge(G: Graph, m1: int, c1: int, m2: int, c2: int) -> Optional[Edge]:
@@ -273,26 +276,6 @@ def _mono_edge(G: Graph, m1: int, c1: int, m2: int, c2: int) -> Optional[Edge]:
             if hit:
                 return _norm_edge(v, (hit & -hit).bit_length() - 1)
     return None
-
-
-def _spanning_tree_of_disagreement(G: Graph, mask: int, c: int) -> list[Edge]:
-    vs = bits(mask)
-    if len(vs) == 1:
-        return []
-    start = vs[0]
-    seen = {start}
-    edges = []
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        cv = (c >> v) & 1
-        for w in bits(G.adj_mask(v) & mask):
-            if w not in seen and ((c >> w) & 1) != cv:
-                seen.add(w)
-                edges.append(_norm_edge(v, w))
-                stack.append(w)
-    assert len(seen) == len(vs)
-    return edges
 
 
 def has_clique_minor(
@@ -413,7 +396,7 @@ def find_signed_minor(
     for u, (mask, c) in enumerate(choice):
         vs = bits(mask)
         trees[u] = tuple(vs)
-        tree_edges[u] = tuple(_spanning_tree_of_disagreement(G, mask, c))
+        tree_edges[u] = tuple(_disagreement_tree(G, mask, c))
         tree_colorings[u] = {v: 2 if (c >> v) & 1 else 1 for v in vs}
     witness = {
         (j, i): _mono_edge(G, *choice[j], mask, c if neg else mask & ~c)

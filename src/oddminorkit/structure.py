@@ -47,7 +47,11 @@ def _minimize_family(
     candidates: list[Path], k: int, h_edges: frozenset[Edge]
 ) -> Optional[list[Path]]:
     """Lexicographically minimize (edges outside H, total length) over all
-    families of k pairwise vertex-disjoint candidate paths."""
+    families of k pairwise vertex-disjoint candidate paths.
+
+    Families are visited in lexicographic index order and only strictly
+    worse ones are pruned, so the first family with the least key wins its
+    ties; on candidates sorted by vertex sequence it is the least family."""
     best: Optional[tuple[tuple[int, int], list[Path]]] = None
     cost_a = {p: len(p.edge_set() - h_edges) for p in candidates}
 
@@ -56,12 +60,8 @@ def _minimize_family(
         if best is not None and (ca, cl) > best[0]:
             return
         if len(chosen) == k:
-            key = (ca, cl)
-            if best is None or key < best[0] or (
-                key == best[0]
-                and [p.vertices for p in chosen] < [p.vertices for p in best[1]]
-            ):
-                best = (key, list(chosen))
+            if best is None or (ca, cl) < best[0]:
+                best = ((ca, cl), list(chosen))
             return
         for i in range(start, len(candidates)):
             p = candidates[i]

@@ -199,6 +199,12 @@ def test_coloring_claims_are_checked_against_the_theorem(mode, edit, reason):
     ("cover", "l", -3, "l-out-of-range"),
     ("cover", "S", [0, 10**9], "s-out-of-range"),
     ("cover", "S", [-6, 0, 1, 2], "s-out-of-range"),
+    ("packing", "l", True, "l-out-of-range"),
+    ("cover", "l", True, "l-out-of-range"),
+    # a decomposition's t likewise: t = 2.5 lets 2t - 4 = 1 apex vertex through
+    ("decomposition", "t", 2.5, "t-out-of-range"),
+    ("decomposition", "t", True, "t-out-of-range"),
+    ("decomposition", "t", 1, "t-out-of-range"),
 ])
 def test_packing_and_cover_fields_are_range_checked(kind, field, value, reason):
     G, cert = next((G, c) for G, c in all_kinds() if c.kind == kind)
@@ -206,6 +212,39 @@ def test_packing_and_cover_fields_are_range_checked(kind, field, value, reason):
     doc["payload"][field] = value
     ok, got = verify_certificate(G, parse_certificate(json.dumps(doc)))
     assert not ok and got == reason
+
+
+# (kind, path to a map keyed by vertex or pattern id)
+KEYED_MAPS = [
+    ("odd-minor-model", ("trees",)),
+    ("odd-minor-model", ("tree_edges",)),
+    ("odd-minor-model", ("alpha",)),
+    ("signed-minor-model", ("trees",)),
+    ("signed-minor-model", ("tree_edges",)),
+    ("signed-minor-model", ("tree_colorings",)),
+    ("signed-minor-model", ("tree_colorings", "0")),
+    ("subdivision", ("branch",)),
+    ("decomposition", ("reduced", "branch")),
+    ("coloring", ("colors",)),
+]
+
+
+@pytest.mark.parametrize("kind, path", KEYED_MAPS,
+                         ids=[f"{k}:{'/'.join(p)}" for k, p in KEYED_MAPS])
+@pytest.mark.parametrize("spell", [
+    lambda k: "0" + k, lambda k: " " + k, lambda k: "+" + k, lambda k: k + " ",
+    lambda k: "".join(chr(0x660 + int(d)) for d in k),  # Arabic-Indic digits
+], ids=["leading-zero", "leading-space", "plus-sign", "trailing-space", "arabic-indic"])
+def test_a_map_key_names_its_id_in_canonical_form_only(kind, path, spell):
+    G, cert = next((G, c) for G, c in all_kinds() if c.kind == kind)
+    doc = json.loads(serialize_certificate(cert))
+    m = doc["payload"]
+    for field in path:
+        m = m[field]
+    k = max(m, key=int)
+    m[spell(k)] = m[k]  # the same entry again, under a second spelling
+    got = verify_certificate(G, parse_certificate(json.dumps(doc)))
+    assert got == (False, f"malformed-payload: non-canonical key {spell(k)!r}")
 
 
 @pytest.mark.parametrize("kind", ["odd-minor-model", "signed-minor-model"])
@@ -236,8 +275,11 @@ def test_subdivision_sizes_are_checked_before_use():
     assert peak < 10**6, f"a hostile s allocated {peak} bytes"
 
 
-@pytest.mark.parametrize("text", ["9" * 5000, "[" * 5000],
-                         ids=["long-int", "deep-nesting"])
+@pytest.mark.parametrize("text", [
+    "9" * 5000, "[" * 5000,
+    '{"schema":"odd-minor-kit/1","kind":"cover","graph_hash":"",'
+    '"payload":{"S":[],"l":2,"l":1,"cover":[]}}',
+], ids=["long-int", "deep-nesting", "repeated-key"])
 def test_json_the_decoder_refuses_is_a_certificate_error(text):
     with pytest.raises(CertificateError):
         parse_certificate(text)

@@ -5,6 +5,7 @@ import itertools
 import random
 from dataclasses import fields, is_dataclass
 
+import networkx as nx
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -26,7 +27,7 @@ from oddminorkit import (
     verify_signed_minor_model,
 )
 from oddminorkit.graph import SizeLimitError, bits
-from oddminorkit.signed import _connected_subsets
+from oddminorkit.signed import _connected_subsets, _disagreement_tree, _valid_colorings
 
 import oracles
 
@@ -265,6 +266,33 @@ def test_connected_subset_table_matches_brute_force(seed):
         for v in bits(m):
             union |= G.adj_mask(v)
         assert nb == union & ~m
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_coloring_step_matches_a_networkx_oracle(seed):
+    rng = random.Random(seed)
+    G = random_graph(rng.randint(1, 8), rng.choice((0.3, 0.5, 0.8)), seed)
+    for mask, _ in _connected_subsets(G):
+        vs = bits(mask)
+        inside = [(a, b) for a, b in G.edges() if a in vs and b in vs]
+        free = mask & (mask - 1)  # the lowest vertex keeps color 1
+        want = []
+        for c in range(free + 1):
+            if c & ~free:
+                continue
+            bichromatic = {(a, b) for a, b in inside if (c >> a & 1) != (c >> b & 1)}
+            D = nx.Graph(bichromatic)
+            D.add_nodes_from(vs)
+            tree = _disagreement_tree(G, mask, c)
+            if not nx.is_connected(D):
+                assert tree is None
+                continue
+            want.append(c)
+            T = nx.Graph(tree)
+            T.add_nodes_from(vs)
+            assert len(tree) == len(vs) - 1 and set(tree) <= bichromatic
+            assert nx.is_tree(T)
+        assert _valid_colorings(G, mask) == want
 
 
 def _canonical(x):
