@@ -83,15 +83,25 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """A JSON object, refused when a key repeats: json keeps the last."""
     doc = dict(pairs)
     if len(doc) != len(pairs):
-        raise CertificateError("an object repeats a key")
+        seen = set()
+        for k, _ in pairs:
+            if k in seen:
+                raise CertificateError(f"an object repeats key {k!r}")
+            seen.add(k)
     return doc
+
+
+# json.loads(text, object_pairs_hook=...) would build a decoder on every call
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
 def parse_certificate(text: str) -> Certificate:
     """Strict parse: schema version pinned, unknown fields and repeated keys
     rejected."""
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        doc = _DECODER.decode(text)
+    except CertificateError:
+        raise
     except (ValueError, RecursionError) as e:  # also over-long ints, deep nesting
         raise CertificateError(f"not valid JSON: {e}") from None
     if not isinstance(doc, dict):
@@ -230,13 +240,15 @@ def certify_coloring(
 # ---------------------------------------------------------------------------
 
 
-def _key(k: str) -> int:
-    """A vertex or pattern id map key, read only in its canonical form, so
-    two keys of one map never name the same id."""
-    v = int(k)
-    if str(v) != k:
+def _by_id(m: dict) -> dict:
+    """m with its keys read as vertex or pattern ids, each only in its
+    canonical form, so two keys of one map never name the same id."""
+    keys = list(m.keys())
+    ids = list(map(int, keys))
+    if list(map(str, ids)) != keys:
+        k = next(k for k, i in zip(keys, ids) if str(i) != k)
         raise ValueError(f"non-canonical key {k!r}")
-    return v
+    return dict(zip(ids, m.values()))
 
 
 def _pattern_of(payload: dict) -> Graph:
@@ -251,12 +263,12 @@ def odd_minor_model_of(payload: dict) -> tuple[Graph, OddMinorModel]:
         vs = c["vertices"]
         connectors[e] = Path(tuple(vs)) if c["form"] == "path" else (vs[0], vs[1])
     model = OddMinorModel(
-        trees={_key(u): tuple(vs) for u, vs in payload["trees"].items()},
+        trees={u: tuple(vs) for u, vs in _by_id(payload["trees"]).items()},
         tree_edges={
-            _key(u): tuple(tuple(e) for e in es)
-            for u, es in payload["tree_edges"].items()
+            u: tuple(tuple(e) for e in es)
+            for u, es in _by_id(payload["tree_edges"]).items()
         },
-        alpha=TwoColoring({_key(v): c for v, c in payload["alpha"].items()}),
+        alpha=TwoColoring(_by_id(payload["alpha"])),
         connectors=connectors,
     )
     return H, model
@@ -266,14 +278,13 @@ def signed_minor_model_of(payload: dict) -> tuple[Graph, list, SignedMinorModel]
     H = _pattern_of(payload)
     sigma = [tuple(e) for e in payload["pattern_signature"]]
     model = SignedMinorModel(
-        trees={_key(u): tuple(vs) for u, vs in payload["trees"].items()},
+        trees={u: tuple(vs) for u, vs in _by_id(payload["trees"]).items()},
         tree_edges={
-            _key(u): tuple(tuple(e) for e in es)
-            for u, es in payload["tree_edges"].items()
+            u: tuple(tuple(e) for e in es)
+            for u, es in _by_id(payload["tree_edges"]).items()
         },
         tree_colorings={
-            _key(u): {_key(v): c for v, c in col.items()}
-            for u, col in payload["tree_colorings"].items()
+            u: _by_id(col) for u, col in _by_id(payload["tree_colorings"]).items()
         },
         edge_witness={
             _norm_edge(*w["edge"]): tuple(w["witness"])
@@ -287,7 +298,7 @@ def subdivision_of(payload: dict) -> SubdivisionEmbedding:
     return SubdivisionEmbedding(
         payload["s"],
         payload["t"],
-        {_key(p): g for p, g in payload["branch"].items()},
+        _by_id(payload["branch"]),
         {
             _norm_edge(*l["edge"]): Path(tuple(l["path"]))
             for l in payload["linking"]
@@ -296,9 +307,7 @@ def subdivision_of(payload: dict) -> SubdivisionEmbedding:
 
 
 def coloring_of(payload: dict) -> ColoringAssignment:
-    return ColoringAssignment(
-        {_key(v): c for v, c in payload["colors"].items()}, payload["palette"]
-    )
+    return ColoringAssignment(_by_id(payload["colors"]), payload["palette"])
 
 
 # ---------------------------------------------------------------------------

@@ -231,7 +231,7 @@ def _disagreement_tree(G: Graph, mask: int, c: int) -> Optional[list[Edge]]:
     """The DFS tree, from the lowest vertex of mask, of the edges of G[mask]
     whose ends get different colors under c (bit set = color 2), or None when
     it does not span mask. It spans mask exactly when c is proper on some
-    spanning tree of G[mask]."""
+    spanning tree of G[mask]. Each edge is (parent, child), not normalised."""
     low = mask & -mask
     seen = low
     stack = [low.bit_length() - 1]
@@ -241,7 +241,7 @@ def _disagreement_tree(G: Graph, mask: int, c: int) -> Optional[list[Edge]]:
         other = mask & ~c if (c >> v) & 1 else c
         for w in bits(G.adj_mask(v) & other & ~seen):
             seen |= 1 << w
-            edges.append(_norm_edge(v, w))
+            edges.append((v, w))
             stack.append(w)
     return edges if seen == mask else None
 
@@ -396,7 +396,8 @@ def find_signed_minor(
     for u, (mask, c) in enumerate(choice):
         vs = bits(mask)
         trees[u] = tuple(vs)
-        tree_edges[u] = tuple(_disagreement_tree(G, mask, c))
+        tree = _disagreement_tree(G, mask, c)
+        tree_edges[u] = tuple(_norm_edge(v, w) for v, w in tree)
         tree_colorings[u] = {v: 2 if (c >> v) & 1 else 1 for v in vs}
     witness = {
         (j, i): _mono_edge(G, *choice[j], mask, c if neg else mask & ~c)

@@ -275,13 +275,13 @@ def test_subdivision_sizes_are_checked_before_use():
     assert peak < 10**6, f"a hostile s allocated {peak} bytes"
 
 
-@pytest.mark.parametrize("text", [
-    "9" * 5000, "[" * 5000,
-    '{"schema":"odd-minor-kit/1","kind":"cover","graph_hash":"",'
-    '"payload":{"S":[],"l":2,"l":1,"cover":[]}}',
+@pytest.mark.parametrize("text, message", [
+    ("9" * 5000, "^not valid JSON"), ("[" * 5000, "^not valid JSON"),
+    ('{"schema":"odd-minor-kit/1","kind":"cover","graph_hash":"",'
+     '"payload":{"S":[],"l":2,"l":1,"cover":[]}}', "^an object repeats key 'l'$"),
 ], ids=["long-int", "deep-nesting", "repeated-key"])
-def test_json_the_decoder_refuses_is_a_certificate_error(text):
-    with pytest.raises(CertificateError):
+def test_json_the_decoder_refuses_is_a_certificate_error(text, message):
+    with pytest.raises(CertificateError, match=message):
         parse_certificate(text)
 
 
