@@ -91,13 +91,19 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
+def _refuse_constant(name: str):
+    """NaN, Infinity and -Infinity, which json reads but JSON does not have."""
+    raise CertificateError(f"not valid JSON: {name} is not a number")
+
+
 # json.loads(text, object_pairs_hook=...) would build a decoder on every call
-_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys,
+                            parse_constant=_refuse_constant)
 
 
 def parse_certificate(text: str) -> Certificate:
-    """Strict parse: schema version pinned, unknown fields and repeated keys
-    rejected."""
+    """Strict parse: schema version pinned, unknown fields, repeated keys and
+    the non-JSON constants NaN and Infinity rejected."""
     try:
         doc = _DECODER.decode(text)
     except CertificateError:
@@ -251,17 +257,34 @@ def _by_id(m: dict) -> dict:
     return dict(zip(ids, m.values()))
 
 
+def _by_edge(entries: list, read) -> dict:
+    """read(entry) for each entry of a list keyed by its pattern edge, one
+    entry per edge: a dict would keep only the last of two."""
+    out = {}
+    for x in entries:
+        e = _norm_edge(*x["edge"])
+        if e in out:
+            raise ValueError(f"pattern edge {list(e)} is listed twice")
+        out[e] = read(x)
+    return out
+
+
+def _connector_of(c: dict):
+    vs = c["vertices"]
+    if c["form"] == "path":
+        return Path(tuple(vs))
+    if c["form"] == "edge":
+        a, b = vs
+        return a, b
+    raise ValueError(f"unknown connector form {c['form']!r}")
+
+
 def _pattern_of(payload: dict) -> Graph:
     return Graph(payload["pattern_n"], [tuple(e) for e in payload["pattern_edges"]])
 
 
 def odd_minor_model_of(payload: dict) -> tuple[Graph, OddMinorModel]:
     H = _pattern_of(payload)
-    connectors = {}
-    for c in payload["connectors"]:
-        e = _norm_edge(*c["edge"])
-        vs = c["vertices"]
-        connectors[e] = Path(tuple(vs)) if c["form"] == "path" else (vs[0], vs[1])
     model = OddMinorModel(
         trees={u: tuple(vs) for u, vs in _by_id(payload["trees"]).items()},
         tree_edges={
@@ -269,7 +292,7 @@ def odd_minor_model_of(payload: dict) -> tuple[Graph, OddMinorModel]:
             for u, es in _by_id(payload["tree_edges"]).items()
         },
         alpha=TwoColoring(_by_id(payload["alpha"])),
-        connectors=connectors,
+        connectors=_by_edge(payload["connectors"], _connector_of),
     )
     return H, model
 
@@ -286,23 +309,19 @@ def signed_minor_model_of(payload: dict) -> tuple[Graph, list, SignedMinorModel]
         tree_colorings={
             u: _by_id(col) for u, col in _by_id(payload["tree_colorings"]).items()
         },
-        edge_witness={
-            _norm_edge(*w["edge"]): tuple(w["witness"])
-            for w in payload["edge_witness"]
-        },
+        edge_witness=_by_edge(payload["edge_witness"], lambda w: tuple(w["witness"])),
     )
     return H, sigma, model
 
 
 def subdivision_of(payload: dict) -> SubdivisionEmbedding:
+    if not isinstance(payload["bipartite"], bool):
+        raise ValueError("bipartite must be true or false")
     return SubdivisionEmbedding(
         payload["s"],
         payload["t"],
         _by_id(payload["branch"]),
-        {
-            _norm_edge(*l["edge"]): Path(tuple(l["path"]))
-            for l in payload["linking"]
-        },
+        _by_edge(payload["linking"], lambda l: Path(tuple(l["path"]))),
     )
 
 
@@ -409,7 +428,10 @@ def _verify_coloring_payload(G: Graph, payload: dict) -> tuple[bool, str]:
         return False, fault
     if c.palette_size > payload["bound"]:
         return False, "palette-exceeds-bound"
-    if not verify_coloring(G, c, mode, payload["value"]):
+    value = payload["value"]
+    if not isinstance(value, int) or isinstance(value, bool):
+        return False, "value-not-an-integer"
+    if not verify_coloring(G, c, mode, value):
         return False, "reported-quality-not-met"
     return True, "ok"
 

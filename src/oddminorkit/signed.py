@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graph import Graph, Path, bits, check_size, _norm_edge
+from .graph import Graph, Path, bipartition, bits, blocks, check_size, _norm_edge
 
 Edge = tuple[int, int]
 
@@ -278,6 +278,14 @@ def _mono_edge(G: Graph, m1: int, c1: int, m2: int, c2: int) -> Optional[Edge]:
     return None
 
 
+def _eligible_blocks(G: Graph, h: int, balanced: bool) -> list[int]:
+    """Vertex masks of the blocks of G that can hold a smallest model of a
+    2-connected pattern on h vertices: at least h vertices, and not bipartite
+    unless the pattern is balanced (find_signed_minor says why)."""
+    return [sum(1 << v for v in B) for B in blocks(G)
+            if len(B) >= h and (balanced or bipartition(G.induced(B)[0]) is None)]
+
+
 def has_clique_minor(
     G: Graph, t: int, conn: Optional[list[tuple[int, int]]] = None
 ) -> bool:
@@ -307,7 +315,11 @@ def has_clique_minor(
             parts.pop()
         return False
 
-    return rec(0, 0)
+    found = rec(0, 0)
+    # rec's closure holds rec itself; dropping the name breaks that cycle, so
+    # what rec holds is freed now and not at the cyclic GC's next full pass
+    del rec
+    return found
 
 
 def find_signed_minor(
@@ -330,6 +342,24 @@ def find_signed_minor(
     its "no" is final; when moreover sigma_h is empty or E(H), every
     reordering of a model's branch sets is a model, so they are taken in
     increasing minimum vertex. An odd K_t minor is the case (K_t, E(K_t)).
+
+    When H is 2-connected (every complete H with h >= 3), the passes after
+    the first keep only the subsets that lie inside one eligible block of G:
+    a block of at least h vertices that, if (H, sigma_h) is unbalanced, is
+    not bipartite. No smallest model is lost. Let G' be the union of a
+    model's spanning trees and witness edges, and x a cut vertex of G',
+    in the tree of pattern vertex i. Every other tree misses x, and H - i
+    is connected, so all of them lie in one component C of G' - x. A
+    witness edge of i ends in C + x, so cutting i's tree down to its part
+    in C + x (a subtree, with the coloring restricted) leaves a model, and a
+    smaller one if G' - x has another component. So a smallest model has a
+    2-connected G', which lies inside one block of G. If that block is
+    bipartite with 2-coloring beta, each tree coloring is beta or its
+    complement, and every witness edge joins two beta colors, so the
+    negative pattern edges are the cut of the trees colored like beta's
+    complement: (H, sigma_h) is balanced. The kept subsets are the old
+    order filtered, so each pass meets the old first model at its place,
+    and the verdict and the model returned are unchanged.
     """
     check_size(G, limit, "find_signed_minor")
     sigma = _edge_set(sigma_h)
@@ -380,15 +410,21 @@ def find_signed_minor(
                         choice.pop()
         return False
 
-    if not rec(0, 0, h):
+    found = rec(0, 0, h)
+    if not found:
+        if h >= 3 and blocks(H) == [frozenset(range(h))]:
+            # from here on rec reads only the sets inside an eligible block
+            balanced = signatures_equivalent(SignedGraph(H, sigma), ()) is not None
+            eligible = _eligible_blocks(G, h, balanced)
+            conn = [(m, nb) for m, nb in conn if any(m & b == m for b in eligible)]
         # decide once at the full budget, then deepen from h + 1 so the
         # first hit is still a smallest model
-        if G.n == h or not rec(0, 0, G.n):
-            return None
-        choice.clear()
-        for budget in range(h + 1, G.n + 1):
-            if rec(0, 0, budget):
-                break
+        if G.n > h and rec(0, 0, G.n):
+            choice.clear()
+            found = any(rec(0, 0, budget) for budget in range(h + 1, G.n + 1))
+    del rec  # as in has_clique_minor: the table and colorings are freed now
+    if not found:
+        return None
 
     trees = {}
     tree_edges = {}

@@ -155,30 +155,44 @@ def test_coloring_value_is_checked():
 FRACTIONAL = {str(v): 1 + v / 7 for v in range(8)}
 
 
-@pytest.mark.parametrize("mode, edit, reason", [
-    ("defective", {}, "ok"),
-    ("clustered", {}, "ok"),
-    ("defective", {"mode": "bogus"}, "unknown-mode"),
-    ("clustered", {"mode": "bogus"}, "unknown-mode"),
-    ("defective", {"mode": "clustered"}, "bound-not-theorem"),
-    ("defective", {"t": 1}, "t-out-of-range"),
-    ("defective", {"t": -5}, "t-out-of-range"),
-    ("defective", {"t": "3"}, "t-out-of-range"),
-    ("defective", {"t": 99}, "bound-not-theorem"),
-    ("defective", {"bound": 1000, "palette": 1000}, "bound-not-theorem"),
-    ("clustered", {"bound": 18}, "bound-not-theorem"),
-    ("defective", {"palette": 10}, "palette-exceeds-bound"),
-    ("clustered", {"palette": 18}, "palette-exceeds-bound"),
-    ("clustered", {"value": 0}, "reported-quality-not-met"),
-    ("defective", {"value": -1}, "reported-quality-not-met"),
+# id -> (mode, payload edit, reason)
+COLORING_CLAIMS = {
+    "defective-ok": ("defective", {}, "ok"),
+    "clustered-ok": ("clustered", {}, "ok"),
+    "defective-mode-bogus": ("defective", {"mode": "bogus"}, "unknown-mode"),
+    "clustered-mode-bogus": ("clustered", {"mode": "bogus"}, "unknown-mode"),
+    "defective-mode-clustered": ("defective", {"mode": "clustered"}, "bound-not-theorem"),
+    "t-1": ("defective", {"t": 1}, "t-out-of-range"),
+    "t-negative": ("defective", {"t": -5}, "t-out-of-range"),
+    "t-string": ("defective", {"t": "3"}, "t-out-of-range"),
+    "t-99": ("defective", {"t": 99}, "bound-not-theorem"),
+    "bound-and-palette-1000": ("defective", {"bound": 1000, "palette": 1000},
+                               "bound-not-theorem"),
+    "clustered-bound-18": ("clustered", {"bound": 18}, "bound-not-theorem"),
+    "defective-palette-10": ("defective", {"palette": 10}, "palette-exceeds-bound"),
+    "clustered-palette-18": ("clustered", {"palette": 18}, "palette-exceeds-bound"),
+    "clustered-value-0": ("clustered", {"value": 0}, "reported-quality-not-met"),
+    "defective-value-negative": ("defective", {"value": -1}, "reported-quality-not-met"),
     # eight distinct colors 1.0..2.0 passed off as a palette of two
-    ("defective", {"colors": FRACTIONAL, "palette": 2, "value": 0}, "color-not-an-integer"),
-    ("clustered", {"colors": FRACTIONAL, "palette": 2, "value": 1}, "color-not-an-integer"),
-    ("defective", {"colors": {str(v): True for v in range(8)}, "palette": 1, "value": 4},
-     "color-not-an-integer"),
-    ("defective", {"palette": 2.0}, "color-out-of-palette"),
-    ("clustered", {"palette": 4.5}, "color-out-of-palette"),
-])
+    "defective-fractional-colors": (
+        "defective", {"colors": FRACTIONAL, "palette": 2, "value": 0}, "color-not-an-integer"),
+    "clustered-fractional-colors": (
+        "clustered", {"colors": FRACTIONAL, "palette": 2, "value": 1}, "color-not-an-integer"),
+    "defective-bool-colors": (
+        "defective", {"colors": {str(v): True for v in range(8)}, "palette": 1, "value": 4},
+        "color-not-an-integer"),
+    "palette-2.0": ("defective", {"palette": 2.0}, "color-out-of-palette"),
+    "palette-4.5": ("clustered", {"palette": 4.5}, "color-out-of-palette"),
+    # the measured defect or cluster size is a count
+    "defective-value-0.5": ("defective", {"value": 0.5}, "value-not-an-integer"),
+    "defective-value-true": ("defective", {"value": True}, "value-not-an-integer"),
+    "clustered-value-1.0": ("clustered", {"value": 1.0}, "value-not-an-integer"),
+    "clustered-value-string": ("clustered", {"value": "1"}, "value-not-an-integer"),
+}
+
+
+@pytest.mark.parametrize("mode, edit, reason", list(COLORING_CLAIMS.values()),
+                         ids=list(COLORING_CLAIMS))
 def test_coloring_claims_are_checked_against_the_theorem(mode, edit, reason):
     K44 = complete_bipartite(4, 4)
     color = color_defective if mode == "defective" else color_clustered
@@ -191,21 +205,26 @@ def test_coloring_claims_are_checked_against_the_theorem(mode, edit, reason):
     assert (ok, got) == (reason == "ok", reason)
 
 
-@pytest.mark.parametrize("kind, field, value, reason", [
-    ("packing", "l", -3, "l-out-of-range"),
-    ("packing", "l", 0, "l-out-of-range"),
-    ("packing", "S", [0, 1, 2, 3, 10**9], "s-out-of-range"),
-    ("packing", "S", [-1, 0, 1, 2, 3], "s-out-of-range"),
-    ("cover", "l", -3, "l-out-of-range"),
-    ("cover", "S", [0, 10**9], "s-out-of-range"),
-    ("cover", "S", [-6, 0, 1, 2], "s-out-of-range"),
-    ("packing", "l", True, "l-out-of-range"),
-    ("cover", "l", True, "l-out-of-range"),
+# id -> (kind, payload field, value, reason)
+RANGE_CHECKS = {
+    "packing-l-negative": ("packing", "l", -3, "l-out-of-range"),
+    "packing-l-0": ("packing", "l", 0, "l-out-of-range"),
+    "packing-S-huge": ("packing", "S", [0, 1, 2, 3, 10**9], "s-out-of-range"),
+    "packing-S-negative": ("packing", "S", [-1, 0, 1, 2, 3], "s-out-of-range"),
+    "cover-l-negative": ("cover", "l", -3, "l-out-of-range"),
+    "cover-S-huge": ("cover", "S", [0, 10**9], "s-out-of-range"),
+    "cover-S-negative": ("cover", "S", [-6, 0, 1, 2], "s-out-of-range"),
+    "packing-l-true": ("packing", "l", True, "l-out-of-range"),
+    "cover-l-true": ("cover", "l", True, "l-out-of-range"),
     # a decomposition's t likewise: t = 2.5 lets 2t - 4 = 1 apex vertex through
-    ("decomposition", "t", 2.5, "t-out-of-range"),
-    ("decomposition", "t", True, "t-out-of-range"),
-    ("decomposition", "t", 1, "t-out-of-range"),
-])
+    "decomposition-t-2.5": ("decomposition", "t", 2.5, "t-out-of-range"),
+    "decomposition-t-true": ("decomposition", "t", True, "t-out-of-range"),
+    "decomposition-t-1": ("decomposition", "t", 1, "t-out-of-range"),
+}
+
+
+@pytest.mark.parametrize("kind, field, value, reason", list(RANGE_CHECKS.values()),
+                         ids=list(RANGE_CHECKS))
 def test_packing_and_cover_fields_are_range_checked(kind, field, value, reason):
     G, cert = next((G, c) for G, c in all_kinds() if c.kind == kind)
     doc = json.loads(serialize_certificate(cert))
@@ -252,7 +271,7 @@ def test_a_map_key_names_its_id_in_canonical_form_only(kind, path, spell):
     ("trees", [1, 2, 3], "malformed-payload"),
     ("pattern_n", 10**9, "pattern-too-large"),
     ("pattern_n", -1, "pattern-too-large"),
-])
+], ids=["trees-list", "pattern_n-huge", "pattern_n-negative"])
 def test_minor_model_payloads_are_checked_before_use(kind, field, value, reason):
     G, cert = next((G, c) for G, c in all_kinds() if c.kind == kind)
     doc = json.loads(serialize_certificate(cert))
@@ -275,14 +294,93 @@ def test_subdivision_sizes_are_checked_before_use():
     assert peak < 10**6, f"a hostile s allocated {peak} bytes"
 
 
+COVER_TEXT = ('{"schema":"odd-minor-kit/1","kind":"cover","graph_hash":"",'
+              '"payload":{"S":[],"l":%s,"cover":[]}}')
+
+
 @pytest.mark.parametrize("text, message", [
     ("9" * 5000, "^not valid JSON"), ("[" * 5000, "^not valid JSON"),
-    ('{"schema":"odd-minor-kit/1","kind":"cover","graph_hash":"",'
-     '"payload":{"S":[],"l":2,"l":1,"cover":[]}}', "^an object repeats key 'l'$"),
-], ids=["long-int", "deep-nesting", "repeated-key"])
+    (COVER_TEXT % '2,"l":1', "^an object repeats key 'l'$"),
+    (COVER_TEXT % "NaN", "^not valid JSON: NaN is not a number$"),
+    (COVER_TEXT % "Infinity", "^not valid JSON: Infinity is not a number$"),
+    (COVER_TEXT % "-Infinity", "^not valid JSON: -Infinity is not a number$"),
+], ids=["long-int", "deep-nesting", "repeated-key", "nan", "infinity", "minus-infinity"])
 def test_json_the_decoder_refuses_is_a_certificate_error(text, message):
     with pytest.raises(CertificateError, match=message):
         parse_certificate(text)
+
+
+def test_a_coloring_value_past_the_float_range_is_not_an_integer():
+    # 1e999 is valid JSON; it reads as a float infinity, which bounds nothing
+    K44 = complete_bipartite(4, 4)
+    col, defect = color_defective(K44, 3)
+    text = serialize_certificate(certify_coloring(K44, col, "defective", 3, 9, defect))
+    spelled = text.replace(f'"value":{defect}', '"value":1e999')
+    assert spelled != text
+    got = verify_certificate(K44, parse_certificate(spelled))
+    assert got == (False, "value-not-an-integer")
+
+
+def _payload_part(kind, path):
+    """A certificate of the kind from all_kinds(), its graph and parsed
+    document, and the part of its payload at path."""
+    G, cert = next((G, c) for G, c in all_kinds() if c.kind == kind)
+    doc = json.loads(serialize_certificate(cert))
+    part = doc["payload"]
+    for field in path:
+        part = part[field]
+    return G, doc, part
+
+
+# (kind, path to a list with one entry per pattern edge)
+EDGE_LISTS = [
+    ("odd-minor-model", ("connectors",)),
+    ("signed-minor-model", ("edge_witness",)),
+    ("subdivision", ("linking",)),
+    ("decomposition", ("reduced", "linking")),
+]
+
+
+@pytest.mark.parametrize("kind, path", EDGE_LISTS,
+                         ids=[f"{k}:{'/'.join(p)}" for k, p in EDGE_LISTS])
+@pytest.mark.parametrize("reverse", [False, True], ids=["same-edge", "reversed-edge"])
+def test_a_pattern_edge_is_listed_once(kind, path, reverse):
+    # in front of the entries, the first one's connector, witness or path
+    # under the last one's edge: a reader that keeps the last entry of an
+    # edge checks only the right one
+    G, doc, entries = _payload_part(kind, path)
+    u, v = entries[-1]["edge"]
+    entries.insert(0, {**entries[0], "edge": [v, u] if reverse else [u, v]})
+    got = verify_certificate(G, parse_certificate(json.dumps(doc)))
+    assert got == (False, f"malformed-payload: pattern edge [{u}, {v}] is listed twice")
+
+
+@pytest.mark.parametrize("form, third_vertex, reason", [
+    ("banana", False, "unknown connector form 'banana'"),
+    ("Edge", False, "unknown connector form 'Edge'"),
+    (None, False, "unknown connector form None"),
+    ("edge", True, "too many values to unpack (expected 2)"),
+], ids=["banana", "capitalised", "null", "edge-with-three-vertices"])
+def test_a_connector_form_is_edge_or_path(form, third_vertex, reason):
+    G, doc, connectors = _payload_part("odd-minor-model", ("connectors",))
+    c = connectors[0]
+    assert c["form"] == "edge"
+    c["form"] = form
+    if third_vertex:
+        c["vertices"].append(c["vertices"][0])
+    got = verify_certificate(G, parse_certificate(json.dumps(doc)))
+    assert got == (False, f"malformed-payload: {reason}")
+
+
+@pytest.mark.parametrize("kind, path", [("subdivision", ()), ("decomposition", ("reduced",))],
+                         ids=["subdivision", "decomposition:reduced"])
+@pytest.mark.parametrize("value", [None, 0, 1, "true"], ids=["null", "0", "1", "string"])
+def test_a_subdivision_says_bipartite_with_a_bool(kind, path, value):
+    G, doc, sub = _payload_part(kind, path)
+    assert sub["bipartite"] is True
+    sub["bipartite"] = value
+    got = verify_certificate(G, parse_certificate(json.dumps(doc)))
+    assert got == (False, "malformed-payload: bipartite must be true or false")
 
 
 def test_a_repeated_tree_edge_is_a_soft_failure():

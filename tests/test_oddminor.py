@@ -141,8 +141,10 @@ def test_complete_bipartite_has_no_odd_triangle():
                          ids=["K34", "K44", "C8"])
 def test_bipartite_hosts_are_absent_after_the_deciding_pass(G, t):
     # bipartite, so no odd K_3 and no odd K_4; all but C_8 at t = 4 pass
-    # the unsigned pretest, so the engine's full-budget pass gives the
-    # verdict (the detector itself answers from the 2-coloring)
+    # the unsigned pretest, and then the engine finds no block it may search
+    # (each host is one bipartite block, and the pattern is unbalanced), so
+    # the full-budget pass has no subset to try; the detector itself answers
+    # from the 2-coloring. test_signed.py has hosts that reach that pass.
     assert find_odd_clique_minor(G, t) is None
     assert find_signed_minor(G, Kt(t), Kt(t).edges()) is None
 

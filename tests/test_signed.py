@@ -21,11 +21,13 @@ from oddminorkit import (
     find_odd_clique_minor,
     find_signed_minor,
     is_balanced,
+    parse_graph,
     random_graph,
     resign,
     signatures_equivalent,
     verify_signed_minor_model,
 )
+from oddminorkit import signed
 from oddminorkit.graph import SizeLimitError, bits
 from oddminorkit.signed import _connected_subsets, _disagreement_tree, _valid_colorings
 
@@ -226,8 +228,9 @@ ODD_K3 = [(0, 1), (0, 2), (1, 2)]
 # minimum vertex, and a model found outside the budget order is not smallest.
 # The last four name each way out of the budget loop: a model at budget h
 # (odd K_3 in K_3); budget h fails and a larger model exists (odd K_3 in C_5,
-# total size 5); the deciding pass fails after the unsigned pretest passed
-# (odd K_3 in K_{3,4}); a non-complete H is absent (C_4 in a path).
+# total size 5); the unsigned pretest passes but no block may hold the
+# pattern, so the deciding pass has no set to try (odd K_3 in K_{3,4}, one
+# bipartite block); a non-complete H is absent (C_4 in a path).
 @example((Graph(3, [(0, 2), (1, 2)]), "P3", []))
 @example((Graph(5, [(0, 1), (0, 2), (0, 4), (1, 3), (1, 4), (2, 3), (3, 4)]),
           "K4", [(0, 3), (1, 3)]))
@@ -238,7 +241,12 @@ ODD_K3 = [(0, 1), (0, 2), (1, 2)]
 @example((Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), "C4", []))
 @given(signed_minor_instances())
 def test_signed_minor_search_matches_brute_force_oracle(instance):
-    G, name, sigma = instance
+    _assert_a_smallest_model(*instance)
+
+
+def _assert_a_smallest_model(G, name, sigma):
+    """find_signed_minor's verdict is the oracle's, and its model verifies
+    and has the oracle's least total size."""
     H = PATTERNS[name]
     model = find_signed_minor(G, H, sigma)
     want = oracles.smallest_signed_minor_size(G, H, sigma)
@@ -250,6 +258,70 @@ def test_signed_minor_search_matches_brute_force_oracle(instance):
         assert ok, reason
         # branch sets come by increasing total size: a smallest model
         assert sum(len(vs) for vs in model.trees.values()) == want
+
+
+# blocks for glued hosts: bipartite (C_4), too small for K_4 (K_2, K_3), or
+# neither (K_4 minus an edge, K_4)
+BLOCKS = [Graph(2, [(0, 1)]), K3, PATTERNS["C4"],
+          Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]), PATTERNS["K4"]]
+
+
+@st.composite
+def glued_instances(draw):
+    """A host of two or three BLOCKS, each glued at its vertex 0 onto a
+    vertex of the ones before, so that every glue vertex is a cut vertex (at
+    most 6 vertices, for the oracle), with K_3 or K_4 under a random
+    signature."""
+    n, edges = 1, []
+    for _ in range(draw(st.integers(2, 3))):
+        B = draw(st.sampled_from(BLOCKS))
+        if n + B.n - 1 > 6:
+            break
+        ids = [draw(st.integers(0, n - 1))] + list(range(n, n + B.n - 1))
+        edges += [(ids[u], ids[v]) for u, v in B.edges()]
+        n += B.n - 1
+    name = draw(st.sampled_from(["K3", "K4"]))
+    sigma = draw(st.lists(st.sampled_from(PATTERNS[name].edges()), unique=True))
+    return Graph(n, edges), name, sigma
+
+
+# The block rule at its edges: K_4 beside a triangle (odd K_4 inside one
+# block, none across the cut vertex), C_4 beside a triangle (the triangle
+# holds odd K_3, the bipartite block none), and C_4 with a pendant edge (no
+# eligible block for the unbalanced all-negative K_3).
+@example((Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (0, 5),
+                    (4, 5)]), "K4", ODD_K3 + [(0, 3), (1, 3), (2, 3)]))
+@example((Graph(6, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (3, 5), (4, 5)]), "K3", ODD_K3))
+@example((Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)]), "K3", ODD_K3))
+@given(glued_instances())
+def test_the_block_rule_keeps_a_smallest_model(instance):
+    _assert_a_smallest_model(*instance)
+
+
+@pytest.mark.parametrize("graph6, t, block", [
+    # blocks {0,6}, {2,5}, {5,6} and the non-bipartite {0,1,3,4,7}
+    ("GeOcKo", 4, [0, 1, 3, 4, 7]),
+    # K_{5,6} with a triangle at vertex 0: a bipartite block and a small one
+    ("L?B~vrw}FoO?_@", 4, None),
+], ids=["GeOcKo", "K56-and-triangle"])
+def test_the_deciding_pass_searches_the_eligible_blocks_only(monkeypatch, graph6, t, block):
+    # both hosts pass the unsigned K_4 pretest and have no K_4 subgraph, so
+    # the budget-h pass fails; the deciding pass colors sets of two or more
+    # vertices, all inside the one eligible block, or none when there is none
+    G = parse_graph(graph6.encode(), "graph6")
+    colored = []
+
+    def recording(G, mask):
+        colored.append(mask)
+        return _valid_colorings(G, mask)
+
+    monkeypatch.setattr(signed, "_valid_colorings", recording)
+    assert find_odd_clique_minor(G, t) is None
+    larger = [m for m in colored if m.bit_count() > 1]
+    if block is None:
+        assert larger == []
+    else:
+        assert larger and all(set(bits(m)) <= set(block) for m in larger)
 
 
 @pytest.mark.parametrize("seed", range(40))
