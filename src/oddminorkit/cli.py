@@ -230,8 +230,10 @@ def _kt_signature(text: str, t: int) -> list[tuple[int, int]]:
 @click.option("--out", type=str, default=None)
 def detect(graph: str, fmt: str, mode: str, t: int, s: Optional[int],
            sigma: str, limit: Optional[int], out: Optional[str]):
-    """Search for the requested substructure, exhaustively except that the
-    odd-clique mode settles a bipartite host at t >= 3 by its 2-coloring.
+    """Search exhaustively for the requested substructure. For t >= 3 the
+    odd-clique and signed modes first read the blocks of the host, and a
+    host with no block that may hold the pattern (a bipartite host, for an
+    unbalanced one) is answered before any subset is built.
 
     Prints a certificate (exit 2) or "absent" (exit 0).
     """

@@ -338,8 +338,8 @@ def color_defective(
     defect. Raises OddMinorFoundError with a certificate when an odd K_t
     minor surfaces (always on graphs with at most 10 vertices, which are
     checked up front by `find_odd_clique_minor`; for t >= 3 the detector
-    settles a bipartite host by its 2-coloring, without the exhaustive
-    search)."""
+    answers a bipartite host from its blocks, before the exhaustive search
+    builds any subset)."""
     if t < 2:
         raise ValueError("t must be >= 2")
     _maybe_precheck(G, t)

@@ -137,8 +137,14 @@ class _PathEngine:
                 yield from extend(w, used | 1 << w, rem - 1)
                 walk.pop()
 
-        if ends:
-            yield from extend(s, 1 << s, length)
+        try:
+            if ends:
+                yield from extend(s, 1 << s, length)
+        finally:
+            # extend's closure holds extend itself; dropping the name breaks
+            # that cycle, also when the caller abandons this generator (as
+            # `first` does after one path) and it is closed at its yield
+            del extend
 
     def first(self, gone: int) -> Optional[Path]:
         if gone not in self._first:

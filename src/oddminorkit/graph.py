@@ -468,17 +468,29 @@ def find_odd_cycle(G: Graph) -> Optional[Path]:
 def blocks(G: Graph) -> list[frozenset[int]]:
     """Block decomposition: maximal 2-connected blocks, bridges, and
     singleton blocks for isolated vertices.  Sorted for determinism."""
-    result: list[frozenset[int]] = []
+    return [B for B, _ in _blocks(G)]
+
+
+def _blocks(G: Graph) -> list[tuple[frozenset[int], bool]]:
+    """The blocks of `blocks`, in its order, each with whether it is
+    bipartite, both from one lowpoint DFS.
+
+    A block's vertices span a subtree of the DFS tree, so 2-coloring them by
+    the parity of their DFS depth is proper on its tree edges, and the block
+    is bipartite iff none of its edges joins two vertices of equal depth
+    parity."""
+    result: list[tuple[frozenset[int], bool]] = []
     visited = [False] * G.n
     disc = [0] * G.n
     low = [0] * G.n
+    depth = [0] * G.n
     timer = itertools.count(1)
     for root in range(G.n):
         if visited[root]:
             continue
         if G.degree(root) == 0:
             visited[root] = True
-            result.append(frozenset([root]))
+            result.append((frozenset([root]), True))
             continue
         # iterative DFS with an edge stack
         estack: list[tuple[int, int]] = []
@@ -495,6 +507,7 @@ def blocks(G: Graph) -> list[frozenset[int]]:
                     estack.append((v, w))
                     visited[w] = True
                     disc[w] = low[w] = next(timer)
+                    depth[w] = depth[v] + 1
                     stack.append((w, v, iter(bits(G.adj_mask(w)))))
                     advanced = True
                     break
@@ -508,16 +521,17 @@ def blocks(G: Graph) -> list[frozenset[int]]:
                 pv = stack[-1][0]
                 low[pv] = min(low[pv], low[v])
                 if low[v] >= disc[pv]:
-                    comp = set()
-                    while estack and estack[-1] != (pv, v):
+                    # the block's edges sit on the edge stack down to (pv, v)
+                    comp: set[int] = set()
+                    bipartite = True
+                    while True:
                         a, b = estack.pop()
                         comp.update((a, b))
-                    if estack:
-                        a, b = estack.pop()
-                        comp.update((a, b))
-                    if comp:
-                        result.append(frozenset(comp))
-    return sorted(result, key=lambda b: (min(b), len(b), sorted(b)))
+                        bipartite = bipartite and (depth[a] ^ depth[b]) & 1 == 1
+                        if (a, b) == (pv, v):
+                            break
+                    result.append((frozenset(comp), bipartite))
+    return sorted(result, key=lambda r: (min(r[0]), len(r[0]), sorted(r[0])))
 
 
 # ---------------------------------------------------------------------------

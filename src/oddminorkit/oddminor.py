@@ -1,13 +1,13 @@
 """Odd-minor models, parity-breaking paths, and the odd-clique detector: an
 odd K_t minor of G is a (K_t, E(K_t)) minor of the signed graph (G, E(G)),
-found by the signed-minor search unless a 2-coloring rules it out."""
+found by the signed-minor search and renamed."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .graph import Graph, Path, TwoColoring, bipartition, check_size, complete, _norm_edge
+from .graph import Graph, Path, TwoColoring, check_size, complete, _norm_edge
 # has_clique_minor, the unsigned pretest, lives in signed and is re-exported
 from .signed import _tree_fault, find_signed_minor, has_clique_minor
 
@@ -103,12 +103,12 @@ def find_odd_clique_minor(
 ) -> Optional[OddMinorModel]:
     """Exact search for an odd K_t minor model (edge-form connectors).
 
-    The size guard runs first. For t >= 3 a bipartite G is settled by its
-    2-coloring: every odd K_t minor holds an odd K_3 minor, and G has one
-    iff it is not bipartite. Every other host goes to the exhaustive
-    `find_signed_minor` for (K_t, all edges negative), which asserts its
-    model before returning it: an unsigned K_t minor test runs first,
-    branch sets are taken in increasing minimum vertex and by increasing
+    The size guard runs first. Then the exhaustive `find_signed_minor`
+    searches for (K_t, all edges negative) and asserts its model before
+    returning it. For t >= 3 it answers at once when no block of G has at
+    least t vertices and an odd cycle (so a bipartite host is absent before
+    any subset is built); otherwise an unsigned K_t minor test runs first,
+    and branch sets are taken in increasing minimum vertex and by increasing
     total size, so the first hit is a smallest witness. The renaming keeps
     the model valid: alpha is the union of the tree colorings, proper on
     each tree, and the connectors are the edge witnesses, monochromatic.
@@ -116,9 +116,7 @@ def find_odd_clique_minor(
     if t < 1:
         raise ValueError("t must be >= 1")
     lim = check_size(G, limit, "find_odd_clique_minor")
-    if G.n < t:
-        return None
-    if t >= 3 and bipartition(G) is not None:
+    if G.n < t:  # before building a pattern of ~t^2/2 edges that G cannot hold
         return None
     Kt = complete(t)
     signed = find_signed_minor(G, Kt, Kt.edges(), limit=lim)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graph import Graph, Path, bipartition, bits, blocks, check_size, _norm_edge
+from .graph import Graph, Path, bits, blocks, check_size, _blocks, _norm_edge
 
 Edge = tuple[int, int]
 
@@ -282,8 +282,8 @@ def _eligible_blocks(G: Graph, h: int, balanced: bool) -> list[int]:
     """Vertex masks of the blocks of G that can hold a smallest model of a
     2-connected pattern on h vertices: at least h vertices, and not bipartite
     unless the pattern is balanced (find_signed_minor says why)."""
-    return [sum(1 << v for v in B) for B in blocks(G)
-            if len(B) >= h and (balanced or bipartition(G.induced(B)[0]) is None)]
+    return [sum(1 << v for v in B) for B, bipartite in _blocks(G)
+            if len(B) >= h and (balanced or not bipartite)]
 
 
 def has_clique_minor(
@@ -291,7 +291,9 @@ def has_clique_minor(
 ) -> bool:
     """Unsigned K_t minor test: t disjoint, pairwise adjacent connected
     subsets, taken in increasing minimum vertex. conn, when given, is the
-    (mask, neighbourhood) pair list of _connected_subsets(G)."""
+    (mask, neighbourhood) pair list of _connected_subsets(G), or the part of
+    it that find_signed_minor keeps: the test then asks for a K_t minor
+    whose branch sets are all in conn."""
     if t <= 0:
         return True
     if G.n < t:
@@ -343,23 +345,37 @@ def find_signed_minor(
     reordering of a model's branch sets is a model, so they are taken in
     increasing minimum vertex. An odd K_t minor is the case (K_t, E(K_t)).
 
-    When H is 2-connected (every complete H with h >= 3), the passes after
-    the first keep only the subsets that lie inside one eligible block of G:
-    a block of at least h vertices that, if (H, sigma_h) is unbalanced, is
-    not bipartite. No smallest model is lost. Let G' be the union of a
-    model's spanning trees and witness edges, and x a cut vertex of G',
-    in the tree of pattern vertex i. Every other tree misses x, and H - i
-    is connected, so all of them lie in one component C of G' - x. A
-    witness edge of i ends in C + x, so cutting i's tree down to its part
-    in C + x (a subtree, with the coloring restricted) leaves a model, and a
-    smaller one if G' - x has another component. So a smallest model has a
-    2-connected G', which lies inside one block of G. If that block is
-    bipartite with 2-coloring beta, each tree coloring is beta or its
-    complement, and every witness edge joins two beta colors, so the
-    negative pattern edges are the cut of the trees colored like beta's
-    complement: (H, sigma_h) is balanced. The kept subsets are the old
-    order filtered, so each pass meets the old first model at its place,
-    and the verdict and the model returned are unchanged.
+    Every pass visits the models in one fixed order, and its budget b only
+    skips those of total size above b, so it returns the first model of
+    size at most b. Let s* be the size of the deciding pass's model: it is
+    the first model of all, hence the first of size at most s*, which the
+    pass at budget s* would return. So the deepening runs the budgets
+    h + 1 .. s* - 1 only, and keeps the deciding model when none of them
+    finds one.
+
+    When H is 2-connected (every complete H with h >= 3), the blocks of G
+    are read before any subset is built. A block is eligible when it has at
+    least h vertices and, if (H, sigma_h) is unbalanced, is not bipartite.
+    With no eligible block the answer is None (so a bipartite host has no
+    odd K_t for t >= 3); otherwise every pass reads only the connected
+    subsets that lie inside one eligible block. Every smallest model lies
+    inside one eligible block. Let G' be the union of a model's spanning
+    trees and witness edges, and x a cut vertex of G', in the tree of
+    pattern vertex i. Every other tree misses x, and H - i is connected, so
+    all of them lie in one component C of G' - x. A witness edge of i ends
+    in C + x, so cutting i's tree down to its part in C + x (a subtree, with
+    the coloring restricted) leaves a model, and a smaller one if G' - x has
+    another component. So a smallest model has a 2-connected G', which lies
+    inside one block of G. If that block is bipartite with 2-coloring beta,
+    each tree coloring is beta or its complement, and every witness edge
+    joins two beta colors, so the negative pattern edges are the cut of the
+    trees colored like beta's complement: (H, sigma_h) is balanced. Hence a
+    smallest model's branch sets, pairwise adjacent when H is complete, are
+    all kept, and the pretest's "no" stays final. The kept subsets are the
+    old order filtered, and every model of size h, or of the least size, is
+    kept, so the budget-h pass and the deepening meet the old first model
+    at its place: the verdict and the model returned are those of a search
+    over every connected subset.
     """
     check_size(G, limit, "find_signed_minor")
     sigma = _edge_set(sigma_h)
@@ -371,8 +387,16 @@ def find_signed_minor(
         return SignedMinorModel({}, {}, {}, {})
     if G.n < h:
         return None
-    conn = _connected_subsets(G)
     complete = H.m == h * (h - 1) // 2
+    if h >= 3 and (complete or blocks(H) == [frozenset(range(h))]):
+        balanced = signatures_equivalent(SignedGraph(H, sigma), ()) is not None
+        eligible = _eligible_blocks(G, h, balanced)
+        if not eligible:
+            return None
+        conn = [(m, nb) for m, nb in _connected_subsets(G)
+                if any(m & b == m for b in eligible)]
+    else:
+        conn = _connected_subsets(G)
     if complete and not has_clique_minor(G, h, conn):
         return None
     symmetric = complete and len(sigma) in (0, H.m)
@@ -411,17 +435,15 @@ def find_signed_minor(
         return False
 
     found = rec(0, 0, h)
-    if not found:
-        if h >= 3 and blocks(H) == [frozenset(range(h))]:
-            # from here on rec reads only the sets inside an eligible block
-            balanced = signatures_equivalent(SignedGraph(H, sigma), ()) is not None
-            eligible = _eligible_blocks(G, h, balanced)
-            conn = [(m, nb) for m, nb in conn if any(m & b == m for b in eligible)]
-        # decide once at the full budget, then deepen from h + 1 so the
-        # first hit is still a smallest model
-        if G.n > h and rec(0, 0, G.n):
-            choice.clear()
-            found = any(rec(0, 0, budget) for budget in range(h + 1, G.n + 1))
+    # decide once at the full budget, then deepen below the deciding model's
+    # size; the first hit, or else the deciding model, is a smallest model
+    if not found and G.n > h and rec(0, 0, G.n):
+        decided = choice[:]
+        choice.clear()
+        size = sum(mask.bit_count() for mask, _ in decided)
+        if not any(rec(0, 0, budget) for budget in range(h + 1, size)):
+            choice[:] = decided
+        found = True
     del rec  # as in has_clique_minor: the table and colorings are freed now
     if not found:
         return None

@@ -7,7 +7,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .graph import Graph, Path, TwoColoring, bipartition, bits, blocks, complete
+from .graph import Graph, Path, TwoColoring, bipartition, bits, complete, _blocks
 from .oddminor import OddMinorModel, is_parity_breaking, verify_odd_minor_model
 from .erdosposa import labelled_s_paths, parity_breaking_dichotomy
 from .subdivision import (
@@ -72,6 +72,9 @@ def _minimize_family(
             chosen.pop()
 
     rec(0, [], set(), 0, 0)
+    # rec's closure holds rec itself; dropping the name breaks that cycle,
+    # as in signed.has_clique_minor
+    del rec
     return None if best is None else best[1]
 
 
@@ -91,12 +94,12 @@ def block_or_packing(
     Gx = G.subgraph_on(set(G.vertices()) - X)
     union = red.union_vertices()
     holder = None
-    for blk in blocks(Gx):
+    for blk, bipartite in _blocks(Gx):
         if union <= blk:
             holder = blk
+            assert bipartite, "block not bipartite"
             break
     assert holder is not None, "reduced subdivision split across blocks"
-    assert bipartition(G.subgraph_on(holder)) is not None, "block not bipartite"
     return Decomposition(
         X=X, U=frozenset(holder), retained_branch=red.C, reduced=red
     )

@@ -211,10 +211,14 @@ def find_bipartite_join_subdivision(
             linking: dict[Edge, Path] = {}
             used = frozenset(branch.values())
             if route(branch, 0, used, {0: 0}, linking):
+                del route  # see below
                 emb = SubdivisionEmbedding(s, t, branch, dict(linking))
                 ok, reason = verify_subdivision(G, emb, require_bipartite=True)
                 assert ok, reason
                 return emb
+    # route's closure holds route itself; dropping the name breaks that
+    # cycle, as in signed.has_clique_minor
+    del route
     return None
 
 

@@ -74,9 +74,9 @@ def test_criterion_01_odd_k3_iff_non_bipartite():
 
     def agrees(G):
         # every model found is checked, so the detector's renaming of the
-        # signed model is verified on every host; the detector settles a
-        # bipartite host by its 2-coloring, so the engine's exhaustive
-        # absent verdict is asserted on those hosts directly
+        # signed model is verified on every host; a bipartite host has no
+        # block that may hold odd K_3, so the engine answers it before any
+        # subset table is built, and its verdict is asserted directly too
         model = find_odd_clique_minor(G, 3)
         bipartite = bipartition(G) is not None
         assert (model is None) == bipartite, G

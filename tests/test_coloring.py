@@ -26,7 +26,6 @@ from oddminorkit import (
     verify_coloring,
     verify_odd_minor_model,
 )
-from oddminorkit import oddminor
 from oddminorkit.graph import bipartition, bits
 from oddminorkit.coloring import (
     _achieved_cluster,
@@ -195,10 +194,12 @@ BIPARTITE_HOSTS = [complete_bipartite(3, 3), complete_bipartite(4, 5), cycle(8)]
 
 
 def test_bipartite_hosts_skip_the_exhaustive_precheck(monkeypatch):
-    def search(G, H, sigma_h, limit=None):
+    # the precheck's detector finds no block that may hold odd K_t, so it
+    # answers before the exhaustive search builds its subset table
+    def no_table(G):
         raise AssertionError("exhaustive odd-clique search on a bipartite host")
 
-    monkeypatch.setattr(oddminor, "find_signed_minor", search)
+    monkeypatch.setattr("oddminorkit.signed._connected_subsets", no_table)
     for t in (3, 4):
         for G in BIPARTITE_HOSTS:
             c, defect = color_defective(G, t)

@@ -1,6 +1,7 @@
 """Core graph structure: formats, bipartiteness, blocks, separations, paths."""
 
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -17,11 +18,12 @@ from oddminorkit import (
     find_odd_cycle,
     find_small_separation,
     parse_graph,
+    random_graph,
     to_dimacs,
     to_edgelist,
     to_graph6,
 )
-from oddminorkit.graph import bits, check_size
+from oddminorkit.graph import _blocks, bits, check_size
 
 import oracles
 
@@ -138,6 +140,23 @@ def test_odd_cycle_iff_not_bipartite(G):
 @given(graphs())
 def test_blocks_match_networkx(G):
     assert set(blocks(G)) == oracles.blocks_nx(G)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_blocks_with_bipartiteness_match_networkx(seed):
+    # each block with whether it is bipartite, in the order blocks(G) keeps
+    rng = random.Random(seed)
+    G = random_graph(rng.randint(0, 12), rng.choice((0.1, 0.2, 0.3, 0.5, 0.8)), seed)
+    H = nx.Graph()
+    H.add_nodes_from(G.vertices())
+    H.add_edges_from(G.edges())
+    want = {(frozenset(b), nx.is_bipartite(H.subgraph(b)))
+            for b in nx.biconnected_components(H)}
+    want |= {(frozenset([v]), True) for v in G.vertices() if H.degree(v) == 0}
+    got = _blocks(G)
+    assert set(got) == want
+    assert [B for B, _ in got] == sorted((B for B, _ in want),
+                                         key=lambda b: (min(b), len(b), sorted(b)))
 
 
 @given(graphs(max_n=7))

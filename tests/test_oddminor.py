@@ -140,11 +140,10 @@ def test_complete_bipartite_has_no_odd_triangle():
 @pytest.mark.parametrize("G", [complete_bipartite(3, 4), complete_bipartite(4, 4), cycle(8)],
                          ids=["K34", "K44", "C8"])
 def test_bipartite_hosts_are_absent_after_the_deciding_pass(G, t):
-    # bipartite, so no odd K_3 and no odd K_4; all but C_8 at t = 4 pass
-    # the unsigned pretest, and then the engine finds no block it may search
-    # (each host is one bipartite block, and the pattern is unbalanced), so
-    # the full-budget pass has no subset to try; the detector itself answers
-    # from the 2-coloring. test_signed.py has hosts that reach that pass.
+    # bipartite, so no odd K_3 and no odd K_4: each host is one bipartite
+    # block and the pattern is unbalanced, so the engine finds no block it
+    # may search and answers before it builds any subset table, for the
+    # detector too. test_signed.py has hosts that reach the deciding pass.
     assert find_odd_clique_minor(G, t) is None
     assert find_signed_minor(G, Kt(t), Kt(t).edges()) is None
 
@@ -162,17 +161,35 @@ def _seeded_host(seed, bipartite):
                      if (side[u] != side[v] or not bipartite) and rng.random() < p])
 
 
+def _no_subset_table(G):
+    raise AssertionError("subset table built for a host with no eligible block")
+
+
 @pytest.mark.parametrize("t", [3, 4])
 def test_bipartite_hosts_never_reach_the_engine(monkeypatch, t):
-    def engine(G, H, sigma_h, limit=None):
-        raise AssertionError("exhaustive search on a bipartite host")
-
-    monkeypatch.setattr(oddminor, "find_signed_minor", engine)
+    # the exhaustive engine, the search over connected subsets, never starts:
+    # a bipartite host has only bipartite blocks, and odd K_t is unbalanced
+    monkeypatch.setattr("oddminorkit.signed._connected_subsets", _no_subset_table)
     hosts = [complete_bipartite(3, 4), complete_bipartite(4, 4), cycle(8)]
     hosts += [_seeded_host(seed, True) for seed in range(40)]
     for G in hosts:
         assert bipartition(G) is not None
         assert find_odd_clique_minor(G, t) is None
+
+
+# K_{5,6} on 0..10 with a triangle on 0, 11, 12: a bipartite block and one
+# too small for K_4
+K56_AND_TRIANGLE = Graph(13, [(i, 5 + j) for i in range(5) for j in range(6)]
+                         + [(0, 11), (0, 12), (11, 12)])
+
+
+@pytest.mark.parametrize("G,t", [(complete_bipartite(6, 7), 3), (K56_AND_TRIANGLE, 4)],
+                         ids=["K67-K3", "K56-and-triangle-K4"])
+def test_signed_search_without_an_eligible_block_builds_no_subset_table(monkeypatch, G, t):
+    # sigma = {01} makes K_t unbalanced (the triangle 012 has one negative
+    # edge), so no bipartite block, and no block under t vertices, may hold it
+    monkeypatch.setattr("oddminorkit.signed._connected_subsets", _no_subset_table)
+    assert find_signed_minor(G, Kt(t), [(0, 1)]) is None
 
 
 @pytest.mark.parametrize("G,t", [(complete_bipartite(3, 4), 2), (cycle(5), 3)],
@@ -224,7 +241,7 @@ def test_size_guard():
     G = Graph(15, [])
     with pytest.raises(SizeLimitError):
         find_odd_clique_minor(G, 2)
-    with pytest.raises(SizeLimitError):  # before the bipartite shortcut
+    with pytest.raises(SizeLimitError):  # before the engine reads the blocks
         find_odd_clique_minor(G, 3)
     assert find_odd_clique_minor(G, 2, limit=15) is None
 

@@ -305,9 +305,10 @@ def test_the_block_rule_keeps_a_smallest_model(instance):
     ("L?B~vrw}FoO?_@", 4, None),
 ], ids=["GeOcKo", "K56-and-triangle"])
 def test_the_deciding_pass_searches_the_eligible_blocks_only(monkeypatch, graph6, t, block):
-    # both hosts pass the unsigned K_4 pretest and have no K_4 subgraph, so
-    # the budget-h pass fails; the deciding pass colors sets of two or more
-    # vertices, all inside the one eligible block, or none when there is none
+    # GeOcKo passes the unsigned K_4 pretest and has no K_4 subgraph, so the
+    # budget-h pass fails and the deciding pass colors sets of two or more
+    # vertices, all inside the one eligible block; K_{5,6} plus a triangle
+    # has no eligible block, so no set is colored at all
     G = parse_graph(graph6.encode(), "graph6")
     colored = []
 
@@ -319,7 +320,7 @@ def test_the_deciding_pass_searches_the_eligible_blocks_only(monkeypatch, graph6
     assert find_odd_clique_minor(G, t) is None
     larger = [m for m in colored if m.bit_count() > 1]
     if block is None:
-        assert larger == []
+        assert colored == []
     else:
         assert larger and all(set(bits(m)) <= set(block) for m in larger)
 

@@ -1,6 +1,8 @@
 """Block-or-packing dichotomy, odd clique construction, structure theorem."""
 
+import gc
 import random
+import types
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +18,8 @@ from oddminorkit import (
     chorded_subdivision,
     complete,
     join_subdivision,
+    odd_s_paths_dichotomy,
+    random_graph,
     structure_theorem,
     verify_odd_minor_model,
 )
@@ -117,3 +121,28 @@ def test_structure_theorem_hypothesis_unmet():
         structure_theorem(C5, 2)
     with pytest.raises(ValueError):
         structure_theorem(C5, 1)
+
+
+def test_search_closures_leave_no_reference_cycles():
+    # each recursive closure drops its own name when its search ends, also
+    # when _PathEngine.first abandons the path generator after one path, so
+    # none of them waits in a cycle for the cyclic GC
+    names = {"_PathEngine._paths_from.<locals>.extend",
+             "find_bipartite_join_subdivision.<locals>.route",
+             "_minimize_family.<locals>.rec"}
+    G, _, _ = chorded_subdivision(4, 3, 2, seed=0)
+    H = random_graph(10, 0.3, seed=1)
+    gc.collect()
+    flags, before = gc.get_debug(), len(gc.garbage)
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        # routing, the packing's paths and the odd clique's path family
+        assert not isinstance(structure_theorem(G, 3, limit=G.n + 4 * G.m), Decomposition)
+        odd_s_paths_dichotomy(H, range(0, 10, 2), 2)
+        gc.collect()
+        cycles = {f.__qualname__ for f in gc.garbage[before:]
+                  if isinstance(f, types.FunctionType)}
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[before:]
+    assert not cycles & names
