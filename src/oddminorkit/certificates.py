@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .coloring import ColoringAssignment, _palette_fault, verify_coloring
 from .erdosposa import find_odd_s_path
-from .graph import Graph, Path, TwoColoring, bipartition, blocks, _norm_edge
+from .graph import Graph, Path, TwoColoring, _blocks, _norm_edge
 from .oddminor import OddMinorModel, verify_odd_minor_model
 from .signed import SignedMinorModel, verify_signed_minor_model
 from .structure import Decomposition
@@ -163,7 +163,7 @@ def certify_signed_minor_model(
     payload = {
         "pattern_n": H.n,
         "pattern_edges": _edges_out(H.edges()),
-        "pattern_signature": _edges_out(sigma_h),
+        "pattern_signature": _edges_out({_norm_edge(u, v) for u, v in sigma_h}),
         "trees": {str(u): list(vs) for u, vs in model.trees.items()},
         "tree_edges": {str(u): _edges_out(es) for u, es in model.tree_edges.items()},
         "tree_colorings": {
@@ -257,14 +257,24 @@ def _by_id(m: dict) -> dict:
     return dict(zip(ids, m.values()))
 
 
+def _new_edge(e: list, seen) -> tuple[int, int]:
+    """The pattern edge e, normalised; ValueError when seen holds it already
+    or when it names a vertex by a bool (JSON true reads as a bool, which
+    Python counts as the int 1)."""
+    if any(isinstance(v, bool) for v in e):
+        raise ValueError(f"pattern edge {e} names a vertex by a bool")
+    e = _norm_edge(*e)
+    if e in seen:
+        raise ValueError(f"pattern edge {list(e)} is listed twice")
+    return e
+
+
 def _by_edge(entries: list, read) -> dict:
     """read(entry) for each entry of a list keyed by its pattern edge, one
     entry per edge: a dict would keep only the last of two."""
     out = {}
     for x in entries:
-        e = _norm_edge(*x["edge"])
-        if e in out:
-            raise ValueError(f"pattern edge {list(e)} is listed twice")
+        e = _new_edge(x["edge"], out)
         out[e] = read(x)
     return out
 
@@ -297,9 +307,11 @@ def odd_minor_model_of(payload: dict) -> tuple[Graph, OddMinorModel]:
     return H, model
 
 
-def signed_minor_model_of(payload: dict) -> tuple[Graph, list, SignedMinorModel]:
+def signed_minor_model_of(payload: dict) -> tuple[Graph, set, SignedMinorModel]:
     H = _pattern_of(payload)
-    sigma = [tuple(e) for e in payload["pattern_signature"]]
+    sigma: set[tuple[int, int]] = set()
+    for e in payload["pattern_signature"]:
+        sigma.add(_new_edge(e, sigma))
     model = SignedMinorModel(
         trees={u: tuple(vs) for u, vs in _by_id(payload["trees"]).items()},
         tree_edges={
@@ -394,10 +406,12 @@ def _verify_decomposition(G: Graph, payload: dict) -> tuple[bool, str]:
         return False, "block-too-small"
     if any(not 0 <= v < G.n for v in X | U):
         return False, "vertex-out-of-range"
-    Gx = G.subgraph_on(set(G.vertices()) - X)
-    if U not in set(blocks(Gx)):
+    # U misses X, and every edge of G[U] lies in U when U is a block of G - X,
+    # so the block's own flag says whether G[U] is bipartite
+    bipartite = dict(_blocks(G.subgraph_on(set(G.vertices()) - X))).get(U)
+    if bipartite is None:
         return False, "not-a-block"
-    if bipartition(G.subgraph_on(U)) is None:
+    if not bipartite:
         return False, "block-not-bipartite"
     retained = frozenset(payload["retained_branch"])
     if payload["reduced"] is not None:

@@ -204,14 +204,20 @@ def gen(family: str, params: tuple[str, ...], seed: int, fmt: str, out: Optional
 
 
 def _kt_signature(text: str, t: int) -> list[tuple[int, int]]:
-    """Parse --sigma, a JSON list of edges of K_t, without building K_t."""
+    """Parse --sigma, a JSON list of edges of K_t, each listed once, without
+    building K_t. JSON true reads as a bool, which Python counts as an int
+    but is no vertex id."""
     sig = json.loads(text)
     if not isinstance(sig, list):
         raise ValueError("--sigma must be a JSON list of edges")
+    seen = set()
     for e in sig:
         if not (isinstance(e, list) and len(e) == 2 and e[0] != e[1]
-                and all(isinstance(v, int) and 0 <= v < t for v in e)):
+                and all(type(v) is int and 0 <= v < t for v in e)):
             raise ValueError(f"signature edge {e} not in K_{t}")
+        if frozenset(e) in seen:
+            raise ValueError(f"signature edge {e} is listed twice")
+        seen.add(frozenset(e))
     return [tuple(e) for e in sig]
 
 

@@ -336,22 +336,23 @@ def find_signed_minor(
     proper on a spanning tree of it; each pattern edge ji needs a G-edge
     between the two subsets whose ends get equal colors if ji is negative
     and different colors if it is positive. The search tries total size h
-    (one vertex per branch set) first. If that fails, one pass with no size
-    bound decides whether any model exists, and an absent verdict ends
-    there. Otherwise the search deepens by increasing total size from h + 1,
-    so the first hit is still a smallest model. When H is
+    (one vertex per branch set) first. If that fails, one branch-and-bound
+    pass runs over every larger size: at each model it meets it records the
+    model and lowers its cap on the total size to one less, and it stops at
+    a model of size h + 1, the least still possible. When H is
     complete, the unsigned K_h minor test runs first on the same subsets and
     its "no" is final; when moreover sigma_h is empty or E(H), every
     reordering of a model's branch sets is a model, so they are taken in
     increasing minimum vertex. An odd K_t minor is the case (K_t, E(K_t)).
 
-    Every pass visits the models in one fixed order, and its budget b only
-    skips those of total size above b, so it returns the first model of
-    size at most b. Let s* be the size of the deciding pass's model: it is
-    the first model of all, hence the first of size at most s*, which the
-    pass at budget s* would return. So the deepening runs the budgets
-    h + 1 .. s* - 1 only, and keeps the deciding model when none of them
-    finds one.
+    Both passes visit the models in one fixed order, and the cap only skips
+    models larger than it. Let M be the first model of the least size s.
+    Every model recorded before M is larger than s, so the cap is at least
+    s when M is met; M is recorded, and the cap drops to s - 1, below every
+    model left. So the model returned is M, the one a search by increasing
+    size returns. A model met after the cap drops is refused at its leaf,
+    since the loops over a mask's colorings and forms do not read the cap
+    again.
 
     When H is 2-connected (every complete H with h >= 3), the blocks of G
     are read before any subset is built. A block is eligible when it has at
@@ -373,8 +374,8 @@ def find_signed_minor(
     smallest model's branch sets, pairwise adjacent when H is complete, are
     all kept, and the pretest's "no" stays final. The kept subsets are the
     old order filtered, and every model of size h, or of the least size, is
-    kept, so the budget-h pass and the deepening meet the old first model
-    at its place: the verdict and the model returned are those of a search
+    kept, so both passes meet the old first model of least size at its
+    place: the verdict and the model returned are those of a search
     over every connected subset.
     """
     check_size(G, limit, "find_signed_minor")
@@ -405,16 +406,28 @@ def find_signed_minor(
              for i in range(h)]
     colorings: dict[int, list[int]] = {}
 
-    # choice[i] = (mask, colormask); assign H vertices 0..h-1 in order
+    # choice[i] = (mask, colormask); assign H vertices 0..h-1 in order.
+    # best is the last model recorded, cap the largest total size still
+    # wanted and least the smallest one still possible
     choice: list[tuple[int, int]] = []
+    best: list[tuple[int, int]] = []
+    cap = least = h
 
-    def rec(used: int, lowbound: int, budget: int) -> bool:
+    def rec(used: int, lowbound: int, size: int) -> bool:
+        nonlocal cap
         i = len(choice)
         if i == h:
-            return True
+            # the loops over a mask's colorings and forms do not read cap
+            # again after a model below lowers it
+            if size > cap:
+                return False
+            best[:] = choice
+            cap = size - 1
+            return size == least
+        rest = size + h - i - 1  # a model through mask has size >= k + rest
         for mask, _ in conn:
             k = mask.bit_count()
-            if k > budget - (h - i - 1):
+            if k + rest > cap:
                 break  # conn is sorted by size; all later masks too big
             if mask & used or (mask & -mask) < lowbound:
                 continue
@@ -429,37 +442,32 @@ def find_signed_minor(
                            is not None for j, neg in links[i]):
                         choice.append((mask, c))
                         if rec(used | mask, mask & -mask if symmetric else 0,
-                               budget - k):
+                               size + k):
                             return True
                         choice.pop()
         return False
 
-    found = rec(0, 0, h)
-    # decide once at the full budget, then deepen below the deciding model's
-    # size; the first hit, or else the deciding model, is a smallest model
-    if not found and G.n > h and rec(0, 0, G.n):
-        decided = choice[:]
-        choice.clear()
-        size = sum(mask.bit_count() for mask, _ in decided)
-        if not any(rec(0, 0, budget) for budget in range(h + 1, size)):
-            choice[:] = decided
-        found = True
+    rec(0, 0, 0)
+    # size h failed: one branch-and-bound pass over every larger size
+    if not best and G.n > h:
+        cap, least = G.n, h + 1
+        rec(0, 0, 0)
     del rec  # as in has_clique_minor: the table and colorings are freed now
-    if not found:
+    if not best:
         return None
 
     trees = {}
     tree_edges = {}
     tree_colorings = {}
-    for u, (mask, c) in enumerate(choice):
+    for u, (mask, c) in enumerate(best):
         vs = bits(mask)
         trees[u] = tuple(vs)
         tree = _disagreement_tree(G, mask, c)
         tree_edges[u] = tuple(_norm_edge(v, w) for v, w in tree)
         tree_colorings[u] = {v: 2 if (c >> v) & 1 else 1 for v in vs}
     witness = {
-        (j, i): _mono_edge(G, *choice[j], mask, c if neg else mask & ~c)
-        for i, (mask, c) in enumerate(choice) for j, neg in links[i]
+        (j, i): _mono_edge(G, *best[j], mask, c if neg else mask & ~c)
+        for i, (mask, c) in enumerate(best) for j, neg in links[i]
     }
     model = SignedMinorModel(trees, tree_edges, tree_colorings, witness)
     ok, reason = verify_signed_minor_model(G, H, sigma, model)

@@ -355,6 +355,37 @@ def test_a_pattern_edge_is_listed_once(kind, path, reverse):
     assert got == (False, f"malformed-payload: pattern edge [{u}, {v}] is listed twice")
 
 
+def test_a_signature_edge_is_written_once():
+    K5 = complete(5)
+    model = find_signed_minor(K5, Kt(3), [(0, 1)])
+    cert = certify_signed_minor_model(K5, Kt(3), [(0, 1), (1, 0), (0, 1)], model)
+    assert cert.payload["pattern_signature"] == [[0, 1]]
+    assert verify_certificate(K5, cert) == (True, "ok")
+
+
+@pytest.mark.parametrize("signature, reason", [
+    ([[0, 1], [0, 1]], "pattern edge [0, 1] is listed twice"),
+    ([[0, 1], [1, 0]], "pattern edge [0, 1] is listed twice"),
+    # true is read as vertex 1 by a set or a range test
+    ([[0, True]], "pattern edge [0, True] names a vertex by a bool"),
+], ids=["same-edge", "reversed-edge", "bool-vertex"])
+def test_a_signature_edge_is_read_once_and_by_integer_ids(signature, reason):
+    G, doc, _ = _payload_part("signed-minor-model", ())
+    doc["payload"]["pattern_signature"] = signature
+    got = verify_certificate(G, parse_certificate(json.dumps(doc)))
+    assert got == (False, f"malformed-payload: {reason}")
+
+
+@pytest.mark.parametrize("G, reason", [
+    # C_6 is one block, and U = {0, .., 4} is only part of it
+    (cycle(6), "not-a-block"),
+    (complete(5), "block-not-bipartite"),
+], ids=["C6", "K5"])
+def test_a_decomposition_block_is_a_bipartite_block_of_G_minus_X(G, reason):
+    dec = Decomposition(frozenset(), frozenset(range(5)), frozenset())
+    assert verify_certificate(G, certify_decomposition(G, 2, dec)) == (False, reason)
+
+
 @pytest.mark.parametrize("form, third_vertex, reason", [
     ("banana", False, "unknown connector form 'banana'"),
     ("Edge", False, "unknown connector form 'Edge'"),

@@ -12,7 +12,7 @@ from oddminorkit import (
 )
 from oddminorkit.cli import main
 from oddminorkit.certificates import certify_cover, serialize_certificate
-from oddminorkit.generators import chorded_subdivision, cycle, complete_bipartite
+from oddminorkit.generators import chorded_subdivision, complete, complete_bipartite, cycle
 from oddminorkit.graph import Graph, parse_graph
 
 
@@ -93,8 +93,6 @@ def test_detect_certificate_and_exit_code(runner, tmp_path):
 
 
 def test_detect_signed_mode(runner, tmp_path):
-    from oddminorkit.generators import complete
-
     k6 = write_graph(tmp_path, complete(6))
     res = runner.invoke(main, ["detect", k6, "--mode", "signed", "--t", "3"])
     assert res.exit_code == 2
@@ -255,8 +253,6 @@ def test_decompose_without_subdivision_is_input_error(runner, tmp_path):
 
 
 def test_ep_packing_and_cover(runner, tmp_path):
-    from oddminorkit.generators import complete
-
     k6 = write_graph(tmp_path, complete(6))
     res = runner.invoke(main, ["ep", k6, "--s-set", "0,1,2,3", "--l", "2"])
     assert res.exit_code == 0
@@ -421,6 +417,14 @@ CONTRACT = [
      "error: sweep spec 'random:5,0.3,0' builds no graph"),
     (["gen", "cycle", "x"], {}, 4, "error: cycle takes parameters N, got 'x'"),
     (["gen", "random", "5", "y"], {}, 4, "error: random takes parameters N P, got '5 y'"),
+    # a signature edge is listed once, in either orientation, and true is no
+    # vertex id: each of these was written out as read and then verified
+    (["detect", "K5", "--t", "3", "--mode", "signed", "--sigma", "[[0,1],[1,0]]"], {}, 4,
+     "error: signature edge [1, 0] is listed twice"),
+    (["detect", "K5", "--t", "3", "--mode", "signed", "--sigma", "[[0,1],[0,1]]"], {}, 4,
+     "error: signature edge [0, 1] is listed twice"),
+    (["detect", "K5", "--t", "3", "--mode", "signed", "--sigma", "[[0,true]]"], {}, 4,
+     "error: signature edge [0, True] not in K_3"),
 ]
 
 
@@ -434,6 +438,7 @@ def test_every_command_exits_0_2_3_or_4(runner, tmp_path, monkeypatch, args, env
     cover.write_text(serialize_certificate(certify_cover(grid, [0, 2], 1, [])))
     paths = {"C5": write_graph(tmp_path, cycle(5), "c5.g6"),
              "K33": write_graph(tmp_path, complete_bipartite(3, 3), "k33.g6"),
+             "K5": write_graph(tmp_path, complete(5), "k5.g6"),
              "E21": write_graph(tmp_path, Graph(21, []), "e21.g6"),
              "E31": write_graph(tmp_path, Graph(31, []), "e31.g6"),
              "GRID": write_graph(tmp_path, grid, "grid.g6"),

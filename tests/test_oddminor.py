@@ -143,7 +143,8 @@ def test_bipartite_hosts_are_absent_after_the_deciding_pass(G, t):
     # bipartite, so no odd K_3 and no odd K_4: each host is one bipartite
     # block and the pattern is unbalanced, so the engine finds no block it
     # may search and answers before it builds any subset table, for the
-    # detector too. test_signed.py has hosts that reach the deciding pass.
+    # detector too. test_signed.py has hosts that reach the branch-and-bound
+    # pass.
     assert find_odd_clique_minor(G, t) is None
     assert find_signed_minor(G, Kt(t), Kt(t).edges()) is None
 

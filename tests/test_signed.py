@@ -225,12 +225,14 @@ ODD_K3 = [(0, 1), (0, 2), (1, 2)]
 
 # Pinned: the unsigned K_h pretest must not run for a non-complete H (P_3 in
 # a path), branch sets of a mixed-sign clique may not be taken in increasing
-# minimum vertex, and a model found outside the budget order is not smallest.
-# The last four name each way out of the budget loop: a model at budget h
-# (odd K_3 in K_3); budget h fails and a larger model exists (odd K_3 in C_5,
-# total size 5); the unsigned pretest passes but no block may hold the
-# pattern, so the deciding pass has no set to try (odd K_3 in K_{3,4}, one
-# bipartite block); a non-complete H is absent (C_4 in a path).
+# minimum vertex, and a model found outside the size order is not smallest.
+# The next four name each way the search can end: a model of size h (odd K_3
+# in K_3); size h fails and the branch-and-bound pass finds a larger model
+# (odd K_3 in C_5, total size 5); the unsigned pretest passes but no block
+# may hold the pattern, so no pass has a set to try (odd K_3 in K_{3,4}, one
+# bipartite block); a non-complete H is absent (C_4 in a path). On FdD^g the
+# branch-and-bound pass meets a 7-vertex odd K_4 before a 6-vertex one, so a
+# pass that stops at its first model returns one too large.
 @example((Graph(3, [(0, 2), (1, 2)]), "P3", []))
 @example((Graph(5, [(0, 1), (0, 2), (0, 4), (1, 3), (1, 4), (2, 3), (3, 4)]),
           "K4", [(0, 3), (1, 3)]))
@@ -239,6 +241,7 @@ ODD_K3 = [(0, 1), (0, 2), (1, 2)]
 @example((cycle(5), "K3", ODD_K3))
 @example((complete_bipartite(3, 4), "K3", ODD_K3))
 @example((Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), "C4", []))
+@example((parse_graph(b"FdD^g", "graph6"), "K4", PATTERNS["K4"].edges()))
 @given(signed_minor_instances())
 def test_signed_minor_search_matches_brute_force_oracle(instance):
     _assert_a_smallest_model(*instance)
@@ -306,9 +309,9 @@ def test_the_block_rule_keeps_a_smallest_model(instance):
 ], ids=["GeOcKo", "K56-and-triangle"])
 def test_the_deciding_pass_searches_the_eligible_blocks_only(monkeypatch, graph6, t, block):
     # GeOcKo passes the unsigned K_4 pretest and has no K_4 subgraph, so the
-    # budget-h pass fails and the deciding pass colors sets of two or more
-    # vertices, all inside the one eligible block; K_{5,6} plus a triangle
-    # has no eligible block, so no set is colored at all
+    # size-h pass fails and the branch-and-bound pass colors sets of two or
+    # more vertices, all inside the one eligible block; K_{5,6} plus a
+    # triangle has no eligible block, so no set is colored at all
     G = parse_graph(graph6.encode(), "graph6")
     colored = []
 
@@ -402,6 +405,18 @@ def test_seeded_witnesses_are_pinned():
     assert sum(m != "None" for m in out) == 311
     digest = hashlib.sha256("\n".join(out).encode()).hexdigest()
     assert digest == WITNESS_PIN
+
+
+def test_the_first_smallest_model_is_kept_over_a_later_one_of_its_size():
+    # Ey]w has no K_4 subgraph; the branch-and-bound pass records this 6-vertex
+    # odd K_4, then meets another on the same sets, with only vertex 3 colored
+    # 2, in the loop over the last mask's colorings and forms, which does not
+    # read the lowered cap; the leaf refuses it, so the first one is kept
+    G = parse_graph(b"Ey]w", "graph6")
+    assert (G.n, G.m) == (6, 11)
+    model = find_odd_clique_minor(G, 4)
+    assert model.trees == {0: (0,), 1: (1,), 2: (2,), 3: (3, 4, 5)}
+    assert model.alpha.color == {v: 2 if v == 4 else 1 for v in range(6)}
 
 
 def test_size_guard_message_names_layer_size_and_limit(monkeypatch):
