@@ -257,13 +257,20 @@ def _by_id(m: dict) -> dict:
     return dict(zip(ids, m.values()))
 
 
+def _ids(xs, what: str, of: str = "a vertex") -> tuple:
+    """xs as a tuple of ids (or colors); ValueError when one is a bool: JSON
+    true reads as a bool, which Python counts as the int 1, so a set or a
+    range test takes it for vertex 1."""
+    xs = tuple(xs)
+    if any(isinstance(x, bool) for x in xs):
+        raise ValueError(f"{what} {list(xs)} names {of} by a bool")
+    return xs
+
+
 def _new_edge(e: list, seen) -> tuple[int, int]:
     """The pattern edge e, normalised; ValueError when seen holds it already
-    or when it names a vertex by a bool (JSON true reads as a bool, which
-    Python counts as the int 1)."""
-    if any(isinstance(v, bool) for v in e):
-        raise ValueError(f"pattern edge {e} names a vertex by a bool")
-    e = _norm_edge(*e)
+    or when it names a vertex by a bool."""
+    e = _norm_edge(*_ids(e, "pattern edge"))
     if e in seen:
         raise ValueError(f"pattern edge {list(e)} is listed twice")
     return e
@@ -280,9 +287,9 @@ def _by_edge(entries: list, read) -> dict:
 
 
 def _connector_of(c: dict):
-    vs = c["vertices"]
+    vs = _ids(c["vertices"], "connector")
     if c["form"] == "path":
-        return Path(tuple(vs))
+        return Path(vs)
     if c["form"] == "edge":
         a, b = vs
         return a, b
@@ -290,18 +297,32 @@ def _connector_of(c: dict):
 
 
 def _pattern_of(payload: dict) -> Graph:
-    return Graph(payload["pattern_n"], [tuple(e) for e in payload["pattern_edges"]])
+    return Graph(payload["pattern_n"],
+                 [_ids(e, "pattern edge") for e in payload["pattern_edges"]])
+
+
+def _trees_of(payload: dict) -> tuple[dict, dict]:
+    """The trees and tree_edges maps of a minor model payload."""
+    trees = {u: _ids(vs, "tree") for u, vs in _by_id(payload["trees"]).items()}
+    tree_edges = {u: tuple(_ids(e, "tree edge") for e in es)
+                  for u, es in _by_id(payload["tree_edges"]).items()}
+    return trees, tree_edges
+
+
+def _colors_of(m: dict, what: str) -> dict:
+    """A map from vertex to color, keyed by canonical ids, no color a bool."""
+    m = _by_id(m)
+    _ids(m.values(), what, "a color")
+    return m
 
 
 def odd_minor_model_of(payload: dict) -> tuple[Graph, OddMinorModel]:
     H = _pattern_of(payload)
+    trees, tree_edges = _trees_of(payload)
     model = OddMinorModel(
-        trees={u: tuple(vs) for u, vs in _by_id(payload["trees"]).items()},
-        tree_edges={
-            u: tuple(tuple(e) for e in es)
-            for u, es in _by_id(payload["tree_edges"]).items()
-        },
-        alpha=TwoColoring(_by_id(payload["alpha"])),
+        trees=trees,
+        tree_edges=tree_edges,
+        alpha=TwoColoring(_colors_of(payload["alpha"], "alpha")),
         connectors=_by_edge(payload["connectors"], _connector_of),
     )
     return H, model
@@ -312,16 +333,16 @@ def signed_minor_model_of(payload: dict) -> tuple[Graph, set, SignedMinorModel]:
     sigma: set[tuple[int, int]] = set()
     for e in payload["pattern_signature"]:
         sigma.add(_new_edge(e, sigma))
+    trees, tree_edges = _trees_of(payload)
     model = SignedMinorModel(
-        trees={u: tuple(vs) for u, vs in _by_id(payload["trees"]).items()},
-        tree_edges={
-            u: tuple(tuple(e) for e in es)
-            for u, es in _by_id(payload["tree_edges"]).items()
-        },
+        trees=trees,
+        tree_edges=tree_edges,
         tree_colorings={
-            u: _by_id(col) for u, col in _by_id(payload["tree_colorings"]).items()
+            u: _colors_of(col, "tree coloring")
+            for u, col in _by_id(payload["tree_colorings"]).items()
         },
-        edge_witness=_by_edge(payload["edge_witness"], lambda w: tuple(w["witness"])),
+        edge_witness=_by_edge(payload["edge_witness"],
+                              lambda w: _ids(w["witness"], "witness")),
     )
     return H, sigma, model
 
@@ -329,11 +350,13 @@ def signed_minor_model_of(payload: dict) -> tuple[Graph, set, SignedMinorModel]:
 def subdivision_of(payload: dict) -> SubdivisionEmbedding:
     if not isinstance(payload["bipartite"], bool):
         raise ValueError("bipartite must be true or false")
+    branch = _by_id(payload["branch"])
+    _ids(branch.values(), "branch")
     return SubdivisionEmbedding(
         payload["s"],
         payload["t"],
-        _by_id(payload["branch"]),
-        _by_edge(payload["linking"], lambda l: Path(tuple(l["path"]))),
+        branch,
+        _by_edge(payload["linking"], lambda l: Path(_ids(l["path"], "linking path"))),
     )
 
 
@@ -351,7 +374,7 @@ def _check_s_l(G: Graph, payload: dict) -> str:
     l = payload["l"]
     if not isinstance(l, int) or isinstance(l, bool) or l < 1:
         return "l-out-of-range"
-    if any(not 0 <= v < G.n for v in payload["S"]):
+    if any(not 0 <= v < G.n for v in _ids(payload["S"], "S")):
         return "s-out-of-range"
     return ""
 
@@ -365,7 +388,7 @@ def _verify_packing(G: Graph, payload: dict) -> tuple[bool, str]:
         return False, "packing-too-small"
     used: set[int] = set()
     for vs in payload["paths"]:
-        p = Path(tuple(vs))
+        p = Path(_ids(vs, "packing path"))
         if not p.is_path_of(G):
             return False, "not-a-path"
         a, b = p.ends
@@ -382,7 +405,7 @@ def _verify_cover(G: Graph, payload: dict) -> tuple[bool, str]:
     if bad:
         return False, bad
     S = frozenset(payload["S"])
-    X = set(payload["cover"])
+    X = set(_ids(payload["cover"], "cover"))
     if len(X) > 2 * payload["l"] - 2:
         return False, "cover-too-large"
     if any(not 0 <= v < G.n for v in X):
@@ -396,8 +419,8 @@ def _verify_decomposition(G: Graph, payload: dict) -> tuple[bool, str]:
     t = payload["t"]
     if not isinstance(t, int) or t < 2:
         return False, "t-out-of-range"
-    X = frozenset(payload["X"])
-    U = frozenset(payload["U"])
+    X = frozenset(_ids(payload["X"], "X"))
+    U = frozenset(_ids(payload["U"], "U"))
     if X & U:
         return False, "apex-meets-block"
     if len(X) > 2 * t - 4:
@@ -413,7 +436,7 @@ def _verify_decomposition(G: Graph, payload: dict) -> tuple[bool, str]:
         return False, "not-a-block"
     if not bipartite:
         return False, "block-not-bipartite"
-    retained = frozenset(payload["retained_branch"])
+    retained = frozenset(_ids(payload["retained_branch"], "retained_branch"))
     if payload["reduced"] is not None:
         red = subdivision_of(payload["reduced"])
         ok, reason = verify_subdivision(G, red, require_bipartite=True)

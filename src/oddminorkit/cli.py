@@ -239,7 +239,9 @@ def detect(graph: str, fmt: str, mode: str, t: int, s: Optional[int],
     """Search exhaustively for the requested substructure. For t >= 3 the
     odd-clique and signed modes first read the blocks of the host, and a
     host with no block that may hold the pattern (a bipartite host, for an
-    unbalanced one) is answered before any subset is built.
+    unbalanced one) is answered before any subset is built. A model with one
+    vertex per branch set is also found before any subset table is built,
+    so odd K_5 in K_20 (--limit 20) takes a fraction of a second.
 
     Prints a certificate (exit 2) or "absent" (exit 0).
     """

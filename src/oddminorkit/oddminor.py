@@ -107,11 +107,15 @@ def find_odd_clique_minor(
     searches for (K_t, all edges negative) and asserts its model before
     returning it. For t >= 3 it answers at once when no block of G has at
     least t vertices and an odd cycle (so a bipartite host is absent before
-    any subset is built); otherwise an unsigned K_t minor test runs first,
-    and branch sets are taken in increasing minimum vertex and by increasing
-    total size, so the first hit is a smallest witness. The renaming keeps
-    the model valid: alpha is the union of the tree colorings, proper on
-    each tree, and the connectors are the edge witnesses, monochromatic.
+    any subset is built). Otherwise it looks for t pairwise adjacent
+    vertices of those blocks (an odd K_t with one vertex per branch set)
+    before it builds any subset table; only when there are none does an
+    unsigned K_t minor test run, and then the search over larger branch
+    sets. Branch sets are taken in increasing minimum vertex and by
+    increasing total size, so the first hit is a smallest witness. The
+    renaming keeps the model valid: alpha is the union of the tree
+    colorings, proper on each tree, and the connectors are the edge
+    witnesses, monochromatic.
     """
     if t < 1:
         raise ValueError("t must be >= 1")

@@ -278,6 +278,19 @@ def _mono_edge(G: Graph, m1: int, c1: int, m2: int, c2: int) -> Optional[Edge]:
     return None
 
 
+def _balanced(H: Graph, sigma: frozenset[Edge]) -> bool:
+    """True iff every cycle of (H, sigma) has an even number of negative
+    edges. A complete H is balanced iff every triangle 0ij is: re-signing
+    the i with 0i negative makes every 0i positive, and then ij has the
+    parity of the triangle 0ij. Other patterns go to signatures_equivalent."""
+    h = H.n
+    if H.m == h * (h - 1) // 2:
+        neg0 = [(0, i) in sigma for i in range(h)]
+        return all(neg0[i] ^ neg0[j] == ((i, j) in sigma)
+                   for i in range(1, h) for j in range(i + 1, h))
+    return signatures_equivalent(SignedGraph(H, sigma), ()) is not None
+
+
 def _eligible_blocks(G: Graph, h: int, balanced: bool) -> list[int]:
     """Vertex masks of the blocks of G that can hold a smallest model of a
     2-connected pattern on h vertices: at least h vertices, and not bipartite
@@ -335,13 +348,18 @@ def find_signed_minor(
     Pattern vertex i gets a connected vertex subset of G with a 2-coloring
     proper on a spanning tree of it; each pattern edge ji needs a G-edge
     between the two subsets whose ends get equal colors if ji is negative
-    and different colors if it is positive. The search tries total size h
-    (one vertex per branch set) first. If that fails, one branch-and-bound
-    pass runs over every larger size: at each model it meets it records the
-    model and lowers its cap on the total size to one less, and it stops at
-    a model of size h + 1, the least still possible. When H is
-    complete, the unsigned K_h minor test runs first on the same subsets and
-    its "no" is final; when moreover sigma_h is empty or E(H), every
+    and different colors if it is positive. The passes run in this order:
+    the size guard; for a 2-connected H, the eligible blocks of G (below),
+    with None as the answer when there are none; the size-h pass, which
+    reads one vertex per branch set, over the vertices of the eligible
+    blocks (of G when H is not 2-connected) in increasing order. Only if
+    that pass fails is the table of connected subsets built
+    (`_connected_subsets`, kept to the eligible blocks); when H is
+    complete, the unsigned K_h minor test runs on it and its "no" is final;
+    then one branch-and-bound pass runs over every larger size: at each
+    model it meets it records the model and lowers its cap on the total
+    size to one less, and it stops at a model of size h + 1, the least
+    still possible. When H is complete and sigma_h is empty or E(H), every
     reordering of a model's branch sets is a model, so they are taken in
     increasing minimum vertex. An odd K_t minor is the case (K_t, E(K_t)).
 
@@ -377,6 +395,16 @@ def find_signed_minor(
     kept, so both passes meet the old first model of least size at its
     place: the verdict and the model returned are those of a search
     over every connected subset.
+
+    Answering size h before the table is built changes neither. A set of
+    two or more vertices leaves the rest of the pattern less than one vertex
+    each, so the size-h pass reads only one-vertex sets. The table lists
+    them first, by vertex, and keeps those of the eligible blocks: the list
+    the size-h pass reads here, so it meets the same first model. A size-h
+    model of a complete H is h pairwise adjacent vertices of one eligible
+    block, a K_h minor whose branch sets the table keeps, so the pretest
+    would have said yes to it: running the pretest after the size-h pass
+    fails, and not before it, leaves every verdict as it was.
     """
     check_size(G, limit, "find_signed_minor")
     sigma = _edge_set(sigma_h)
@@ -389,17 +417,17 @@ def find_signed_minor(
     if G.n < h:
         return None
     complete = H.m == h * (h - 1) // 2
+    eligible: Optional[list[int]] = None
+    inside = (1 << G.n) - 1  # the vertices of the eligible blocks
     if h >= 3 and (complete or blocks(H) == [frozenset(range(h))]):
-        balanced = signatures_equivalent(SignedGraph(H, sigma), ()) is not None
-        eligible = _eligible_blocks(G, h, balanced)
+        eligible = _eligible_blocks(G, h, _balanced(H, sigma))
         if not eligible:
             return None
-        conn = [(m, nb) for m, nb in _connected_subsets(G)
-                if any(m & b == m for b in eligible)]
-    else:
-        conn = _connected_subsets(G)
-    if complete and not has_clique_minor(G, h, conn):
-        return None
+        inside = 0
+        for b in eligible:
+            inside |= b
+    # the size-h pass reads only one-vertex sets, so it needs no subset table
+    conn = [(1 << v, G.adj_mask(v)) for v in bits(inside)]
     symmetric = complete and len(sigma) in (0, H.m)
     # links[i]: (j, negative) for each pattern edge ji with j < i
     links = [[(j, (j, i) in sigma) for j in range(i) if H.has_edge(j, i)]
@@ -448,10 +476,15 @@ def find_signed_minor(
         return False
 
     rec(0, 0, 0)
-    # size h failed: one branch-and-bound pass over every larger size
+    # size h failed: build the table, then one branch-and-bound pass over
+    # every larger size unless the pretest says no
     if not best and G.n > h:
-        cap, least = G.n, h + 1
-        rec(0, 0, 0)
+        conn = _connected_subsets(G)
+        if eligible is not None:
+            conn = [(m, nb) for m, nb in conn if any(m & b == m for b in eligible)]
+        if not complete or has_clique_minor(G, h, conn):
+            cap, least = G.n, h + 1
+            rec(0, 0, 0)
     del rec  # as in has_clique_minor: the table and colorings are freed now
     if not best:
         return None

@@ -436,3 +436,79 @@ def test_cover_on_a_host_above_the_guard_raises(monkeypatch):
         verify_certificate(Graph(21, []), cert)
     G = Graph(20, [])
     assert verify_certificate(G, certify_cover(G, [0, 1], 1, [])) == (True, "ok")
+
+
+# C_5 whose smallest odd K_3 puts vertex 1 in a tree of two vertices
+C5_SPLIT = Graph(5, [(0, 2), (0, 4), (1, 2), (1, 3), (3, 4)])
+
+
+def _names_vertex_1():
+    """Certificates that verify and name vertex 1 (or color 1) in every list
+    a row of BOOL_IDS edits, by name."""
+    certs = {c.kind: (G, c) for G, c in all_kinds()}
+    K3, K33, C6 = Kt(3), complete_bipartite(3, 3), cycle(6)
+    block = Decomposition(frozenset(), frozenset(range(6)), frozenset({1}))
+    return {
+        "odd": (C5_SPLIT, certify_odd_minor_model(
+            C5_SPLIT, K3, find_odd_clique_minor(C5_SPLIT, 3))),
+        "signed": (C5_SPLIT, certify_signed_minor_model(
+            C5_SPLIT, K3, K3.edges(), find_signed_minor(C5_SPLIT, K3, K3.edges()))),
+        "subdivision": certs["subdivision"],
+        "packing": certs["packing"],
+        "cover": (K33, certify_cover(K33, [0, 1, 2], 2, [1])),
+        "decomposition": certs["decomposition"],
+        # U = V(C_6) is a bipartite block of C_6 - {} at t = 2
+        "block": (C6, certify_decomposition(C6, 2, block)),
+    }
+
+
+# (certificate name, path to a list or map that names vertex 1 or color 1)
+BOOL_IDS = [
+    ("odd", ("pattern_edges",)),
+    ("odd", ("trees",)),
+    ("odd", ("tree_edges",)),
+    ("odd", ("alpha",)),
+    ("odd", ("connectors", 2, "vertices")),
+    ("signed", ("trees",)),
+    ("signed", ("tree_edges",)),
+    ("signed", ("tree_colorings",)),
+    ("signed", ("edge_witness", 2, "witness")),
+    ("subdivision", ("branch",)),
+    ("subdivision", ("linking", 0, "path")),
+    ("packing", ("S",)),
+    ("packing", ("paths",)),
+    ("cover", ("S",)),
+    ("cover", ("cover",)),
+    ("decomposition", ("X",)),
+    ("block", ("U",)),
+    ("block", ("retained_branch",)),
+]
+
+
+def _first_one(part):
+    """The list or map holding the first integer 1 in part, and its key."""
+    for k, x in part.items() if isinstance(part, dict) else enumerate(part):
+        if type(x) is int and x == 1:
+            return part, k
+        if isinstance(x, (dict, list)):
+            found = _first_one(x)
+            if found is not None:
+                return found
+    return None
+
+
+@pytest.mark.parametrize("name, path", BOOL_IDS,
+                         ids=[f"{n}:{'/'.join(map(str, p))}" for n, p in BOOL_IDS])
+def test_a_vertex_id_is_never_a_bool(name, path):
+    # true reads as a bool, which a set or a range test takes for vertex 1,
+    # so a certificate that writes true for 1 would otherwise verify
+    G, cert = _names_vertex_1()[name]
+    assert verify_certificate(G, cert) == (True, "ok")
+    doc = json.loads(serialize_certificate(cert))
+    part = doc["payload"]
+    for field in path:
+        part = part[field]
+    where, key = _first_one(part)
+    where[key] = True
+    ok, got = verify_certificate(G, parse_certificate(json.dumps(doc)))
+    assert not ok and got.startswith("malformed-payload: ") and got.endswith("by a bool")

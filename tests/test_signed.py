@@ -328,6 +328,36 @@ def test_the_deciding_pass_searches_the_eligible_blocks_only(monkeypatch, graph6
         assert larger and all(set(bits(m)) <= set(block) for m in larger)
 
 
+def _no_subset_table(G):
+    raise AssertionError("subset table built for a size-h answer")
+
+
+@pytest.mark.parametrize("G, h, sigma, limit", [
+    (complete(20), 5, complete(5).edges(), 20),
+    # random_graph(9, 0.4, 0) has 8 edges and the triangle 2, 3, 8
+    (random_graph(9, 0.4, 0), 3, complete(3).edges(), None),
+    (complete(4), 3, [(0, 1)], None),
+], ids=["odd-K5-in-K20", "odd-K3-in-a-seeded-host", "signed-K3-in-K4"])
+def test_a_size_h_answer_builds_no_subset_table(monkeypatch, G, h, sigma, limit):
+    # the size-h pass reads one-vertex sets only, so it runs before the table
+    # is built, and the model is the one the search returned with the table
+    want = find_signed_minor(G, complete(h), sigma, limit=limit)
+    assert want is not None and all(len(vs) == 1 for vs in want.trees.values())
+    monkeypatch.setattr(signed, "_connected_subsets", _no_subset_table)
+    assert find_signed_minor(G, complete(h), sigma, limit=limit) == want
+
+
+@pytest.mark.parametrize("h", [3, 4, 5])
+def test_the_triangle_test_decides_balance_of_a_complete_pattern(h):
+    # every signature of K_h: 8, 64 and 1024 of them
+    H = complete(h)
+    E = H.edges()
+    for chosen in range(1 << len(E)):
+        sigma = frozenset(e for k, e in enumerate(E) if chosen >> k & 1)
+        want = signatures_equivalent(SignedGraph(H, sigma), ()) is not None
+        assert signed._balanced(H, sigma) == want, sorted(sigma)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_connected_subset_table_matches_brute_force(seed):
     rng = random.Random(seed)
