@@ -262,9 +262,16 @@ def _ids(xs, what: str, of: str = "a vertex") -> tuple:
     true reads as a bool, which Python counts as the int 1, so a set or a
     range test takes it for vertex 1."""
     xs = tuple(xs)
-    if any(isinstance(x, bool) for x in xs):
+    if bool in map(type, xs):
         raise ValueError(f"{what} {list(xs)} names {of} by a bool")
     return xs
+
+
+def _count(payload: dict, key: str) -> int:
+    """payload[key], a count; ValueError when it is a bool, which JSON true
+    reads as and which would count as 1."""
+    (n,) = _ids((payload[key],), key, "a count")
+    return n
 
 
 def _new_edge(e: list, seen) -> tuple[int, int]:
@@ -297,7 +304,7 @@ def _connector_of(c: dict):
 
 
 def _pattern_of(payload: dict) -> Graph:
-    return Graph(payload["pattern_n"],
+    return Graph(_count(payload, "pattern_n"),
                  [_ids(e, "pattern edge") for e in payload["pattern_edges"]])
 
 
@@ -353,8 +360,8 @@ def subdivision_of(payload: dict) -> SubdivisionEmbedding:
     branch = _by_id(payload["branch"])
     _ids(branch.values(), "branch")
     return SubdivisionEmbedding(
-        payload["s"],
-        payload["t"],
+        _count(payload, "s"),
+        _count(payload, "t"),
         branch,
         _by_edge(payload["linking"], lambda l: Path(_ids(l["path"], "linking path"))),
     )

@@ -280,15 +280,19 @@ def _mono_edge(G: Graph, m1: int, c1: int, m2: int, c2: int) -> Optional[Edge]:
 
 def _balanced(H: Graph, sigma: frozenset[Edge]) -> bool:
     """True iff every cycle of (H, sigma) has an even number of negative
-    edges. A complete H is balanced iff every triangle 0ij is: re-signing
-    the i with 0i negative makes every 0i positive, and then ij has the
-    parity of the triangle 0ij. Other patterns go to signatures_equivalent."""
-    h = H.n
-    if H.m == h * (h - 1) // 2:
-        neg0 = [(0, i) in sigma for i in range(h)]
-        return all(neg0[i] ^ neg0[j] == ((i, j) in sigma)
-                   for i in range(1, h) for j in range(i + 1, h))
-    return signatures_equivalent(SignedGraph(H, sigma), ()) is not None
+    edges: iff each vertex takes a side, read along a spanning tree, such that
+    exactly the negative edges join the two sides."""
+    side = [-1] * H.n
+    for r in range(H.n):
+        if side[r] < 0:
+            side[r], todo = 0, [r]
+            while todo:
+                u = todo.pop()
+                for v in bits(H.adj_mask(u)):
+                    if side[v] < 0:
+                        side[v] = side[u] ^ (_norm_edge(u, v) in sigma)
+                        todo.append(v)
+    return all(side[u] ^ side[v] == ((u, v) in sigma) for u, v in H.edges())
 
 
 def _eligible_blocks(G: Graph, h: int, balanced: bool) -> list[int]:

@@ -512,3 +512,34 @@ def test_a_vertex_id_is_never_a_bool(name, path):
     where[key] = True
     ok, got = verify_certificate(G, parse_certificate(json.dumps(doc)))
     assert not ok and got.startswith("malformed-payload: ") and got.endswith("by a bool")
+
+
+def _counts_of_1():
+    """Certificates whose count field, by name, is 1."""
+    C5 = cycle(5)
+    Gs, s1 = join_subdivision(1, 2, 1)
+    Gt, t1 = join_subdivision(2, 1, 1)
+    return {
+        "odd": (C5, certify_odd_minor_model(C5, Kt(1), find_odd_clique_minor(C5, 1))),
+        "signed": (C5, certify_signed_minor_model(
+            C5, Kt(1), [], find_signed_minor(C5, Kt(1), []))),
+        "subdivision-s": (Gs, certify_subdivision(Gs, s1)),
+        "subdivision-t": (Gt, certify_subdivision(Gt, t1)),
+    }
+
+
+BOOL_COUNTS = [("odd", "pattern_n"), ("signed", "pattern_n"),
+               ("subdivision-s", "s"), ("subdivision-t", "t")]
+
+
+@pytest.mark.parametrize("name, field", BOOL_COUNTS,
+                         ids=[f"{n}:{f}" for n, f in BOOL_COUNTS])
+def test_a_count_is_never_a_bool(name, field):
+    # a pattern_n, s or t of true would count as 1, the certificate's own value
+    G, cert = _counts_of_1()[name]
+    assert verify_certificate(G, cert) == (True, "ok")
+    doc = json.loads(serialize_certificate(cert))
+    assert doc["payload"][field] == 1
+    doc["payload"][field] = True
+    ok, got = verify_certificate(G, parse_certificate(json.dumps(doc)))
+    assert not ok and got.startswith("malformed-payload: ") and got.endswith("by a bool")

@@ -347,10 +347,13 @@ def test_a_size_h_answer_builds_no_subset_table(monkeypatch, G, h, sigma, limit)
     assert find_signed_minor(G, complete(h), sigma, limit=limit) == want
 
 
-@pytest.mark.parametrize("h", [3, 4, 5])
-def test_the_triangle_test_decides_balance_of_a_complete_pattern(h):
-    # every signature of K_h: 8, 64 and 1024 of them
-    H = complete(h)
+@pytest.mark.parametrize("H", [
+    complete(3), complete(4), complete(5), cycle(4), cycle(5),
+    complete_bipartite(2, 3), Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+    Graph(3, [(0, 1), (1, 2)]), Graph(5, [(0, 1), (2, 3), (3, 4), (2, 4)]),
+], ids=["K3", "K4", "K5", "C4", "C5", "K23", "K4-e", "P3", "K2+K3"])
+def test_the_tree_side_test_decides_balance(H):
+    # every signature of H: 1 024 of them on K_5
     E = H.edges()
     for chosen in range(1 << len(E)):
         sigma = frozenset(e for k, e in enumerate(E) if chosen >> k & 1)
