@@ -7,12 +7,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Optional
+from typing import Callable, Optional
 
 from .graph import Graph, bipartition, bits, find_small_separation
-from .oddminor import OddMinorModel, relabel_model
+from .oddminor import OddMinorModel
 from .structure import Decomposition, structure_theorem
-from .subdivision import find_bipartite_join_subdivision, relabel_embedding
+from .subdivision import find_bipartite_join_subdivision
 
 
 class OddMinorFoundError(Exception):
@@ -216,11 +216,14 @@ def precolor_extend(
     k = d + 4 * t - 7
     if len(Z) > 4 * t - 7:
         raise ValueError("|Z| exceeds 4t-7")
+    if any(not 0 <= z < G.n for z in Z):
+        raise ValueError("Z holds a vertex id outside the graph")
     if set(f) != set(Z):
         raise ValueError("f must be defined exactly on Z")
     if any(not 1 <= c <= k for c in f.values()):
         raise ValueError("precolor outside the palette")
-    colors = _extend(G, Z, dict(f), t, d, base, trace if trace is not None else [])
+    colors = _extend(G, (1 << G.n) - 1, Z, dict(f), t, d, base,
+                     trace if trace is not None else [])
     _check_contract(G, Z, f, colors, k)
     return ColoringAssignment(colors, k)
 
@@ -231,77 +234,71 @@ def _fresh(f: dict[int, int], k: int) -> list[int]:
     return [c for c in range(1, k + 1) if c not in used]
 
 
-def _extend_piece(
-    G: Graph, keep: set[int], Z: AbstractSet[int], f: dict[int, int], t: int,
-    d: int, base: BaseColorer, trace: list,
-) -> dict[int, int]:
-    """Extend f on Z to G[keep] (Z within keep), recursing on the induced
-    piece and mapping its colors, or its odd K_t model, back to G's ids."""
-    H, ids = G.induced(sorted(keep))
-    new = {old: i for i, old in enumerate(ids)}
-    try:
-        g = _extend(H, frozenset(new[z] for z in Z), {new[z]: f[z] for z in Z},
-                    t, d, base, trace)
-    except OddMinorFoundError as e:
-        raise OddMinorFoundError(t, relabel_model(e.model, ids)) from None
-    return {ids[v]: c for v, c in g.items()}
-
-
 def _extend(
-    G: Graph, Z: frozenset[int], f: dict[int, int], t: int, d: int,
+    G: Graph, alive: int, Z: frozenset[int], f: dict[int, int], t: int, d: int,
     base: BaseColorer, trace: list,
 ) -> dict[int, int]:
+    """Extend f on Z to the piece G[alive] (Z within alive). Every piece is an
+    induced subgraph of the one host G and keeps its vertex ids, so colorings,
+    embeddings and odd K_t models need no mapping back."""
     k = d + 4 * t - 7
+    size = alive.bit_count()
 
-    if G.n <= 4 * t - 7:
-        trace.append(f"base:|V|={G.n}")
+    if size <= 4 * t - 7:
+        trace.append(f"base:|V|={size}")
         g = dict(f)
-        g.update(zip((v for v in G.vertices() if v not in Z), _fresh(f, k)))
+        g.update(zip((v for v in bits(alive) if v not in Z), _fresh(f, k)))
         return g
 
-    zz = [(u, v) for (u, v) in G.edges() if u in Z and v in Z]
+    zmask = sum(1 << z for z in Z)
+    zz = [(z, w) for z in sorted(Z) for w in bits(G.adj_mask(z) & zmask) if z < w]
     if zz:
         trace.append(f"stabilize:{len(zz)}")
         G = G.without_edges(zz)
 
-    sep = find_small_separation(G, Z, 2 * t - 3)
+    sep = find_small_separation(G, Z, 2 * t - 3, alive)
     if sep is not None:
         A, B = set(sep.A), set(sep.B)
         if len((B - A) & Z) > len(Z) // 2:
             A, B = B, A
         trace.append(f"split:order={len(A & B)}")
-        g1 = _extend_piece(G, A | Z, Z, f, t, d, base, trace)
+        g1 = _extend(G, sum(1 << v for v in A | Z), Z, f, t, d, base, trace)
         Zp = (A & B) | (B & Z)
         assert len(Zp) <= 4 * t - 7
-        g2 = _extend_piece(G, B, Zp, g1, t, d, base, trace)
+        g2 = _extend(G, sum(1 << v for v in B), frozenset(Zp),
+                     {z: g1[z] for z in Zp}, t, d, base, trace)
         for z in Zp:
             assert g1[z] == g2[z], "split colorings disagree on the interface"
         g2.update(g1)
         return g2
 
-    rest = sorted(set(G.vertices()) - Z)
-    Gz, ids_z = G.induced(rest)
-    emb = find_bipartite_join_subdivision(Gz, 2 * t - 2, t, limit=max(Gz.n, 30))
+    rest = bits(alive & ~zmask)
+    emb = find_bipartite_join_subdivision(
+        G.subgraph_on(rest), 2 * t - 2, t, limit=max(G.n, 30)
+    )
 
     if emb is None:
         trace.append("base-colorer")
-        c0 = base(Gz)
+        # the base colorers' degeneracy order is quadratic in the vertex count
+        H, ids = G.induced(rest)
+        c0 = base(H)
         assert c0.palette_size <= d, "base colorer exceeded its palette"
         fresh = _fresh(f, k)
         g = dict(f)
         for v, c in c0.colors.items():
-            g[ids_z[v]] = fresh[c - 1]
+            g[ids[v]] = fresh[c - 1]
         return g
 
     trace.append("decompose")
+    piece = bits(alive)
     out = structure_theorem(
-        G, t, emb=relabel_embedding(emb, ids_z), limit=max(G.n * 4, 30)
+        G.subgraph_on(piece), t, emb=emb, limit=max(G.n * 4, 30)
     )
     if isinstance(out, OddMinorModel):
         raise OddMinorFoundError(t, out)
     dec: Decomposition = out
     X, U = set(dec.X), set(dec.U)
-    assert set(G.vertices()) - X - U <= Z, "stray vertex outside apex set and block"
+    assert set(piece) - X - U <= Z, "stray vertex outside apex set and block"
     avail = _fresh(f, 4 * t - 4)
     assert len(avail) >= 3, "not enough fresh colors"
     c1, c2, c3 = avail[:3]

@@ -75,6 +75,7 @@ class _PathEngine:
                  through: Optional[Iterable[int]] = None):
         self.n = G.n
         self.adj = [G.adj_mask(v) for v in G.vertices()]
+        self.live = sum(1 << v for v in G.vertices() if self.adj[v])  # not isolated
         self.S = _mask(S, G.n)
         self.ones = _mask(odd_ends, G.n) & self.S
         self.through = (1 << G.n) - 1 if through is None else _mask(through, G.n)
@@ -107,8 +108,10 @@ class _PathEngine:
 
     def paths(self, gone: int) -> Iterator[Path]:
         """Qualifying paths of G - gone, from their lower end: shortest
-        first, then by lower end, then higher-numbered neighbours first."""
-        alive = ((1 << self.n) - 1) & ~gone
+        first, then by lower end, then higher-numbered neighbours first.
+        Isolated vertices lie on no path, so they neither start one nor
+        lengthen the deepening."""
+        alive = self.live & ~gone
         starts = []
         for s in reversed(list(_bits(self.S & alive))):
             above = self.S & alive & ~((2 << s) - 1)

@@ -540,40 +540,42 @@ def _blocks(G: Graph) -> list[tuple[frozenset[int], bool]]:
 
 
 def find_small_separation(
-    G: Graph, Z: Iterable[int], max_order: int
+    G: Graph, Z: Iterable[int], max_order: int, alive: Optional[int] = None
 ) -> Optional[Separation]:
-    """A separation (A, B) of order <= max_order leaving a vertex outside Z
-    strictly on each side, minimizing order (tie-break: lexicographically
-    least A cap B).  None if no such separation exists.
+    """A separation (A, B) of G[alive] (alive a vertex mask, default every
+    vertex) of order <= max_order leaving a vertex outside Z strictly on each
+    side, minimizing order (tie-break: lexicographically least A cap B).
+    None if no such separation exists.
 
     Cuts are tried by order, and within one order in lexicographic order.
-    For each cut the components of G - cut are flood-filled by Graph.reach,
-    lowest vertex first; A is the cut plus the first component that meets
-    V - Z, and B is everything outside that component. No Graph is built per
-    cut.
+    For each cut the components of G[alive] - cut are flood-filled by
+    Graph.reach, lowest vertex first; A is the cut plus the first component
+    that meets alive - Z, and B is the rest of alive. No Graph is built per
+    cut, and the order of cuts is that of G[alive] renumbered by vertex id,
+    so the separation is the one found there.
     """
     n = G.n
     reach = G.reach
-    full = (1 << n) - 1
+    full = (1 << n) - 1 if alive is None else alive
     outside_z = full
     for z in set(Z):
         if 0 <= z < n:
             outside_z &= ~(1 << z)
+    members = bits(full)
     for k in range(0, max_order + 1):
-        for cut in itertools.combinations(range(n), k):
+        for cut in itertools.combinations(members, k):
             cutmask = 0
             for v in cut:
                 cutmask |= 1 << v
-            alive = full & ~cutmask
-            rest = alive
+            rest = left = full & ~cutmask
             side_a = 0
             while rest:
-                comp = reach(rest & -rest, alive)
+                comp = reach(rest & -rest, left)
                 if comp & outside_z:
                     side_a = comp
                     break
                 rest &= ~comp
-            if side_a and alive & outside_z & ~side_a:
+            if side_a and left & outside_z & ~side_a:
                 A, B = side_a | cutmask, full & ~side_a
                 return Separation(frozenset(bits(A)), frozenset(bits(B)))
     return None

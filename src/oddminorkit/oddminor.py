@@ -129,26 +129,3 @@ def find_odd_clique_minor(
     alpha = TwoColoring(
         {v: c for col in signed.tree_colorings.values() for v, c in col.items()})
     return OddMinorModel(signed.trees, signed.tree_edges, alpha, signed.edge_witness)
-
-
-def relabel_model(model: OddMinorModel, old_ids) -> OddMinorModel:
-    """Map a model through a vertex relabeling (new id -> host id)."""
-
-    def mv(v: int) -> int:
-        return old_ids[v]
-
-    def me(e: Edge) -> Edge:
-        return _norm_edge(mv(e[0]), mv(e[1]))
-
-    connectors: dict[Edge, Connector] = {}
-    for he, c in model.connectors.items():
-        if isinstance(c, Path):
-            connectors[he] = Path(tuple(mv(v) for v in c.vertices))
-        else:
-            connectors[he] = me(c)
-    return OddMinorModel(
-        trees={u: tuple(mv(v) for v in vs) for u, vs in model.trees.items()},
-        tree_edges={u: tuple(me(e) for e in es) for u, es in model.tree_edges.items()},
-        alpha=TwoColoring({mv(v): c for v, c in model.alpha.color.items()}),
-        connectors=connectors,
-    )

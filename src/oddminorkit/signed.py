@@ -66,33 +66,36 @@ def is_balanced(SG: SignedGraph, cycle: Path) -> bool:
 def signatures_equivalent(
     SG: SignedGraph, sigma2: Iterable[Edge]
 ) -> Optional[frozenset[int]]:
-    """A re-signing set X with sigma2 = signature ^ delta(X), or None.
-
-    Works componentwise by spanning-tree propagation: a vertex joins X when
-    the parity of differing edges along the tree path from the component
-    root is odd.
-    """
+    """A re-signing set X with sigma2 = signature ^ delta(X), or None: the
+    vertices on side 1 of `_sides` for the edges where the two differ."""
     G = SG.graph
     target = _edge_set(sigma2)
     for e in target:
         if not G.has_edge(*e):
             raise ValueError(f"signature edge {e} not in graph")
-    diff = SG.signature ^ target
-    side: dict[int, int] = {}
-    for comp in G.components():
-        root = comp[0]
-        side[root] = 0
-        stack = [root]
-        seen = 1 << root
-        while stack:
-            v = stack.pop()
-            for w in bits(G.adj_mask(v) & ~seen):
-                seen |= 1 << w
-                side[w] = side[v] ^ (1 if _norm_edge(v, w) in diff else 0)
-                stack.append(w)
-    X = frozenset(v for v, s in side.items() if s == 1)
-    if cut_edges(G, X) == diff:
-        return X
+    side = _sides(G, SG.signature ^ target)
+    if side is None:
+        return None
+    return frozenset(v for v in G.vertices() if side[v])
+
+
+def _sides(G: Graph, odd: frozenset[Edge]) -> Optional[list[int]]:
+    """A side, 0 or 1, per vertex of G such that exactly the edges in odd
+    join the two sides, or None if there is none. Sides are read along a
+    spanning forest, each component's lowest vertex on side 0, and then every
+    edge is checked. (G, odd) is balanced iff the sides exist."""
+    side = [-1] * G.n
+    for r in range(G.n):
+        if side[r] < 0:
+            side[r], todo = 0, [r]
+            while todo:
+                u = todo.pop()
+                for v in bits(G.adj_mask(u)):
+                    if side[v] < 0:
+                        side[v] = side[u] ^ (_norm_edge(u, v) in odd)
+                        todo.append(v)
+    if all(side[u] ^ side[v] == ((u, v) in odd) for u, v in G.edges()):
+        return side
     return None
 
 
@@ -278,23 +281,6 @@ def _mono_edge(G: Graph, m1: int, c1: int, m2: int, c2: int) -> Optional[Edge]:
     return None
 
 
-def _balanced(H: Graph, sigma: frozenset[Edge]) -> bool:
-    """True iff every cycle of (H, sigma) has an even number of negative
-    edges: iff each vertex takes a side, read along a spanning tree, such that
-    exactly the negative edges join the two sides."""
-    side = [-1] * H.n
-    for r in range(H.n):
-        if side[r] < 0:
-            side[r], todo = 0, [r]
-            while todo:
-                u = todo.pop()
-                for v in bits(H.adj_mask(u)):
-                    if side[v] < 0:
-                        side[v] = side[u] ^ (_norm_edge(u, v) in sigma)
-                        todo.append(v)
-    return all(side[u] ^ side[v] == ((u, v) in sigma) for u, v in H.edges())
-
-
 def _eligible_blocks(G: Graph, h: int, balanced: bool) -> list[int]:
     """Vertex masks of the blocks of G that can hold a smallest model of a
     2-connected pattern on h vertices: at least h vertices, and not bipartite
@@ -424,7 +410,7 @@ def find_signed_minor(
     eligible: Optional[list[int]] = None
     inside = (1 << G.n) - 1  # the vertices of the eligible blocks
     if h >= 3 and (complete or blocks(H) == [frozenset(range(h))]):
-        eligible = _eligible_blocks(G, h, _balanced(H, sigma))
+        eligible = _eligible_blocks(G, h, _sides(H, sigma) is not None)
         if not eligible:
             return None
         inside = 0

@@ -111,7 +111,9 @@ def _paths_between(
 
     parity, if given, restricts |E(P)| mod 2. Iterative deepening keeps the
     shortest-first order without storing all paths; neighbours are pushed
-    lowest first, so within one length the highest is walked first.
+    lowest first, so within one length the highest is walked first. The
+    deepening stops at the first length that no walk reaches, as no longer
+    walk can then exist, so isolated vertices of G cost nothing.
     """
     blocked = 1 << b  # b and the forbidden vertices are never interior
     for v in forbidden:
@@ -121,9 +123,11 @@ def _paths_between(
             continue
         # depth-limited DFS for paths of exactly this length; seen masks the walk
         stack: list[tuple[int, tuple[int, ...], int]] = [(a, (a,), 1 << a)]
+        reached = False
         while stack:
             v, walk, seen = stack.pop()
             if len(walk) - 1 == length:
+                reached = True
                 if v == b:
                     yield Path(walk)
                 continue
@@ -137,6 +141,8 @@ def _paths_between(
                 w = low.bit_length() - 1
                 stack.append((w, walk + (w,), seen | low))
                 step ^= low
+        if not reached:
+            return
 
 
 def find_bipartite_join_subdivision(
@@ -149,12 +155,13 @@ def find_bipartite_join_subdivision(
     the union's 2-coloring propagated so odd closures are pruned immediately.
 
     A pattern edge between non-adjacent branch vertices needs an interior
-    vertex of its own: interiors are pairwise disjoint and avoid all s + t
-    branch vertices, so at most n - s - t such edges can be routed. Branch
-    choices with more are skipped before any path is tried, a clique when its
-    non-adjacent pairs plus the t cheapest stable vertices (a stable vertex
-    costs its non-neighbours in the clique) exceed that, a stable set when
-    its own total does. Only choices that cannot route are skipped, so the
+    vertex of its own: interiors are pairwise disjoint, avoid all s + t
+    branch vertices and are not isolated, so with n' vertices not isolated
+    at most n' - s - t such edges can be routed. Branch choices with more
+    are skipped before any path is tried, a clique when its non-adjacent
+    pairs plus the t cheapest stable vertices (a stable vertex costs its
+    non-neighbours in the clique) exceed that, a stable set when its own
+    total does. Only choices that cannot route are skipped, so the
     search returns the embedding it would return without the bound.
     """
     if s < 1 or t < 0:
@@ -193,7 +200,7 @@ def find_bipartite_join_subdivision(
             del linking[(u, v)]
         return False
 
-    room = G.n - s - t  # vertices left for linking-path interiors
+    room = sum(1 for v in by_degree if G.degree(v)) - s - t  # interiors left
     for clique in itertools.combinations(clique_cands, s):
         cmask = sum(1 << v for v in clique)
         need = sum(
@@ -265,16 +272,3 @@ def restrict_subdivision(
         if u in relabel and v in relabel:
             linking[_norm_edge(relabel[u], relabel[v])] = p
     return SubdivisionEmbedding(len(new_clique), len(new_stable), branch, linking)
-
-
-def relabel_embedding(emb: SubdivisionEmbedding, old_ids) -> SubdivisionEmbedding:
-    """Map an embedding through a vertex relabeling (new id -> host id)."""
-    return SubdivisionEmbedding(
-        emb.s,
-        emb.t,
-        {p: old_ids[g] for p, g in emb.branch.items()},
-        {
-            e: Path(tuple(old_ids[v] for v in p.vertices))
-            for e, p in emb.linking.items()
-        },
-    )

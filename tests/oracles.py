@@ -10,7 +10,15 @@ import itertools
 
 import networkx as nx
 
-from oddminorkit import Graph
+from oddminorkit import (
+    Decomposition,
+    Graph,
+    OddMinorModel,
+    PackingCoverResult,
+    Path,
+    SubdivisionEmbedding,
+    TwoColoring,
+)
 
 
 def nxg(G: Graph) -> nx.Graph:
@@ -177,3 +185,53 @@ def smallest_signed_minor_size(G: Graph, H: Graph, sigma):
         if is_model(sets):
             best = size
     return best
+
+
+def balanced_by_subsets(H: Graph, sigma) -> bool:
+    """Whether (H, sigma) is balanced: whether sigma is the edge cut of some
+    vertex set X, every one of the 2^n sets tried."""
+    negative = {tuple(sorted(e)) for e in sigma}
+    for X in range(1 << H.n):
+        cut = {(u, v) for u, v in H.edges() if (X >> u & 1) != (X >> v & 1)}
+        if cut == negative:
+            return True
+    return False
+
+
+def spread(G: Graph) -> Graph:
+    """G renumbered v -> 2v: the same graph with the odd ids isolated."""
+    return Graph(2 * G.n, [(2 * u, 2 * v) for u, v in G.edges()])
+
+
+def spread_output(x):
+    """A search output with each vertex id v of its host read as 2v, as
+    `spread` renumbers the host: None, an embedding, a packing or cover, a
+    decomposition or an odd-minor model. Pattern ids are kept."""
+
+    def vs(p):
+        return tuple(2 * v for v in p)
+
+    def path(p: Path) -> Path:
+        return Path(vs(p.vertices))
+
+    if x is None:
+        return None
+    if isinstance(x, SubdivisionEmbedding):
+        return SubdivisionEmbedding(
+            x.s, x.t, {p: 2 * v for p, v in x.branch.items()},
+            {e: path(p) for e, p in x.linking.items()})
+    if isinstance(x, PackingCoverResult):
+        if x.is_packing:
+            return PackingCoverResult(packing=tuple(map(path, x.packing)))
+        return PackingCoverResult(cover=frozenset(vs(x.cover)))
+    if isinstance(x, Decomposition):
+        return Decomposition(frozenset(vs(x.X)), frozenset(vs(x.U)),
+                             frozenset(vs(x.retained_branch)),
+                             spread_output(x.reduced))
+    assert isinstance(x, OddMinorModel)
+    return OddMinorModel(
+        trees={u: vs(t) for u, t in x.trees.items()},
+        tree_edges={u: tuple(vs(e) for e in es) for u, es in x.tree_edges.items()},
+        alpha=TwoColoring({2 * v: c for v, c in x.alpha.color.items()}),
+        connectors={e: path(c) if isinstance(c, Path) else vs(c)
+                    for e, c in x.connectors.items()})

@@ -269,27 +269,20 @@ def test_decompose_step_raises_a_verified_odd_minor(color):
     # the odd K_3 surfaces on the second split side, under nontrivial ids
     (2, ["split:order=1", "base:|V|=2", "decompose"]),
 ])
-def test_split_maps_a_surfaced_model_back_to_the_host(monkeypatch, color, shift,
-                                                       trace_head):
-    from oddminorkit import coloring
-
+def test_split_maps_a_surfaced_model_back_to_the_host(color, shift, trace_head):
+    # every piece keeps the host's ids, so the model found on the K_{4,9}
+    # side of the split lies on that side and verifies on the whole host
     n = 15
     edges = list(K49_ODD.edges()) + [(0, 13), (13, 14)]
     G = Graph(n, [((u + shift) % n, (v + shift) % n) for u, v in edges])
-    mapped = []
-    real = coloring.relabel_model
-
-    def spy(model, ids):
-        mapped.append(list(ids))
-        return real(model, ids)
-
-    monkeypatch.setattr(coloring, "relabel_model", spy)
     trace: list = []
     with pytest.raises(OddMinorFoundError) as e:
         color(G, 3, trace=trace)
     assert trace == trace_head
-    assert len(mapped) == 1 and len(mapped[0]) < n
-    ok, reason = verify_odd_minor_model(G, Kt(3), e.value.model)
+    model = e.value.model
+    side = {(v + shift) % n for v in K49_ODD.vertices()}
+    assert {v for vs in model.trees.values() for v in vs} <= side
+    ok, reason = verify_odd_minor_model(G, Kt(3), model)
     assert ok, reason
 
 
@@ -337,6 +330,10 @@ def test_precolor_extend_validates_input():
                         3, 4, base)
     with pytest.raises(ValueError):
         precolor_extend(G, frozenset(), {}, 1, 4, base)
+    # precolored ids outside the graph
+    for z in (99, -1):
+        with pytest.raises(ValueError):
+            precolor_extend(cycle(12), frozenset({z}), {z: 1}, 3, 4, base)
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,21 @@ def test_cover_is_the_first_in_size_then_lex_order(seed):
     assert res.cover == first
 
 
+@given(st.integers(0, 200))
+def test_isolated_vertices_leave_the_dichotomy_unchanged(seed):
+    # the host renumbered v -> 2v, the odd ids isolated: the packing or cover
+    # found is the one found before, renumbered
+    rng = random.Random(seed)
+    n = rng.randint(2, 10)
+    G = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                  if rng.random() < 0.35])
+    S = rng.sample(range(n), rng.randint(2, min(5, n)))
+    l = rng.randint(1, 3)
+    want = odd_s_paths_dichotomy(G, S, l, limit=n)
+    got = odd_s_paths_dichotomy(oracles.spread(G), [2 * v for v in S], l, limit=2 * n)
+    assert got == oracles.spread_output(want)
+
+
 @pytest.mark.parametrize("bad", [-1, -5, 4])
 def test_s_out_of_range_is_rejected(bad):
     with pytest.raises(ValueError):

@@ -238,6 +238,21 @@ def test_small_separation_matches_oracle(G, data):
     assert (None if sep is None else (sep.A, sep.B)) == want
 
 
+@given(graphs(max_n=10), st.data())
+def test_small_separation_inside_a_mask_is_the_induced_pieces(G, data):
+    """On the piece G[alive] the separation is the oracle's on the induced,
+    renumbered piece, read back in G's ids."""
+    alive = data.draw(st.integers(0, (1 << G.n) - 1))
+    Z = data.draw(st.sets(st.sampled_from(bits(alive)), max_size=4)) if alive else set()
+    max_order = data.draw(st.integers(0, 3))
+    sep = find_small_separation(G, Z, max_order, alive)
+    H, old_ids = G.induced(bits(alive))
+    want = oracles.first_small_separation(H, [old_ids.index(z) for z in Z], max_order)
+    if want is not None:
+        want = tuple(frozenset(old_ids[v] for v in side) for side in want)
+    assert (None if sep is None else (sep.A, sep.B)) == want
+
+
 def test_path_parity_and_edges():
     p = Path((3, 1, 0, 2))
     assert p.length == 3 and p.parity == 1

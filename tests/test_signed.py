@@ -353,12 +353,13 @@ def test_a_size_h_answer_builds_no_subset_table(monkeypatch, G, h, sigma, limit)
     Graph(3, [(0, 1), (1, 2)]), Graph(5, [(0, 1), (2, 3), (3, 4), (2, 4)]),
 ], ids=["K3", "K4", "K5", "C4", "C5", "K23", "K4-e", "P3", "K2+K3"])
 def test_the_tree_side_test_decides_balance(H):
-    # every signature of H: 1 024 of them on K_5
+    # every signature of H (1 024 of them on K_5) against the cuts of all
+    # 2^h vertex sets
     E = H.edges()
     for chosen in range(1 << len(E)):
         sigma = frozenset(e for k, e in enumerate(E) if chosen >> k & 1)
-        want = signatures_equivalent(SignedGraph(H, sigma), ()) is not None
-        assert signed._balanced(H, sigma) == want, sorted(sigma)
+        want = oracles.balanced_by_subsets(H, sigma)
+        assert (signed._sides(H, sigma) is not None) == want, sorted(sigma)
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -24,6 +24,8 @@ from oddminorkit import (
     verify_odd_minor_model,
 )
 
+import oracles
+
 
 def Kt(t):
     return complete(t)
@@ -90,6 +92,16 @@ def test_structure_theorem_dichotomy(seed):
         assert len(out.X) <= 2 * t - 4
         assert len(out.U) >= t + 3
         assert len(out.retained_branch) >= (3 * t - 2) - len(out.X)
+
+
+@given(st.integers(0, 20))
+def test_isolated_vertices_leave_the_structure_theorem_unchanged(seed):
+    # the host renumbered v -> 2v, the odd ids isolated: the decomposition or
+    # odd K_2 model is the one returned before, renumbered
+    G, _, _ = chorded_subdivision(2, 2, seed % 2, seed)
+    want = structure_theorem(G, 2, limit=G.n)
+    got = structure_theorem(oracles.spread(G), 2, limit=2 * G.n)
+    assert got == oracles.spread_output(want)
 
 
 def test_structure_theorem_on_the_45_vertex_one_chord_instance():

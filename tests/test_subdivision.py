@@ -140,6 +140,20 @@ def test_interior_bound_keeps_the_search_exact():
             assert not brute_has_bipartite_subdivision(G, s, t)
 
 
+@given(st.integers(0, 200))
+def test_isolated_vertices_leave_the_search_unchanged(seed):
+    # the host renumbered v -> 2v, the odd ids isolated: the embedding found
+    # is the one found before, renumbered
+    rng = random.Random(seed)
+    n = rng.randint(0, 10)
+    G = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                  if rng.random() < 0.45])
+    s, t = rng.choice([(2, 1), (2, 2), (3, 1), (3, 2)])
+    want = find_bipartite_join_subdivision(G, s, t, limit=n)
+    got = find_bipartite_join_subdivision(oracles.spread(G), s, t, limit=2 * n)
+    assert got == oracles.spread_output(want)
+
+
 @given(st.integers(0, 80))
 def test_restrict_then_verify(seed):
     rng = random.Random(seed)
