@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .coloring import ColoringAssignment, _palette_fault, verify_coloring
 from .erdosposa import find_odd_s_path
-from .graph import Graph, Path, TwoColoring, _blocks, _norm_edge
+from .graph import Graph, Path, TwoColoring, _norm_edge, blocks
 from .oddminor import OddMinorModel, verify_odd_minor_model
 from .signed import SignedMinorModel, verify_signed_minor_model
 from .structure import Decomposition
@@ -438,7 +438,7 @@ def _verify_decomposition(G: Graph, payload: dict) -> tuple[bool, str]:
         return False, "vertex-out-of-range"
     # U misses X, and every edge of G[U] lies in U when U is a block of G - X,
     # so the block's own flag says whether G[U] is bipartite
-    bipartite = dict(_blocks(G.subgraph_on(set(G.vertices()) - X))).get(U)
+    bipartite = dict(blocks(G, (1 << G.n) - 1 - sum(1 << x for x in X))).get(U)
     if bipartite is None:
         return False, "not-a-block"
     if not bipartite:

@@ -32,12 +32,6 @@ class ColoringAssignment:
     def __call__(self, v: int) -> int:
         return self.colors[v]
 
-    def classes(self, G: Graph) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for v in G.vertices():
-            out.setdefault(self.colors[v], []).append(v)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Quality measures
@@ -54,8 +48,8 @@ def _class_masks(colors: dict[int, int]) -> dict[int, int]:
 def _achieved_defect(G: Graph, colors: dict[int, int]) -> int:
     """Most same-colored neighbours of any vertex."""
     masks = _class_masks(colors)
-    return max(((G.adj_mask(v) & masks[colors[v]]).bit_count()
-                for v in G.vertices()), default=0)
+    return max(((G.adj_mask(v) & masks[c]).bit_count() for v, c in colors.items()),
+               default=0)
 
 
 def _achieved_cluster(G: Graph, colors: dict[int, int]) -> int:
@@ -104,22 +98,26 @@ def verify_coloring(G: Graph, c: ColoringAssignment, mode: str, value: int) -> b
 # ---------------------------------------------------------------------------
 
 
-def _degeneracy_order(G: Graph) -> list[int]:
-    deg = {v: G.degree(v) for v in G.vertices()}
-    alive = set(G.vertices())
+def _degeneracy_order(G: Graph, alive: int) -> list[int]:
+    """The vertices of the piece G[alive], each of least degree among those
+    left (ties to the lowest id) when it is removed."""
+    deg = {v: (G.adj_mask(v) & alive).bit_count() for v in bits(alive)}
     order = []
-    while alive:
-        v = min(alive, key=lambda u: (deg[u], u))
+    while deg:
+        v = min(deg, key=lambda u: (deg[u], u))
         order.append(v)
-        alive.remove(v)
-        for w in bits(G.adj_mask(v)):
-            if w in alive:
-                deg[w] -= 1
+        del deg[v]
+        alive &= ~(1 << v)
+        for w in bits(G.adj_mask(v) & alive):
+            deg[w] -= 1
     return order
 
 
-def base_defective_coloring(G: Graph, s: int) -> tuple[ColoringAssignment, int]:
-    """Greedy low-defect coloring with s colors (1 color if edgeless).
+def base_defective_coloring(
+    G: Graph, s: int, alive: Optional[int] = None
+) -> tuple[ColoringAssignment, int]:
+    """Greedy low-defect coloring of the piece G[alive] (alive a vertex mask,
+    default every vertex) with s colors (1 color if edgeless).
 
     Vertices are colored in reverse degeneracy order, each taking the color
     least used among already-colored neighbors; the achieved defect is
@@ -127,12 +125,14 @@ def base_defective_coloring(G: Graph, s: int) -> tuple[ColoringAssignment, int]:
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    if G.m == 0:
-        return ColoringAssignment({v: 1 for v in G.vertices()}, 1), 0
+    if alive is None:
+        alive = (1 << G.n) - 1
+    if not any(G.adj_mask(v) & alive for v in bits(alive)):
+        return ColoringAssignment({v: 1 for v in bits(alive)}, 1), 0
     colors: dict[int, int] = {}
-    for v in reversed(_degeneracy_order(G)):
+    for v in reversed(_degeneracy_order(G, alive)):
         counts = [0] * (s + 1)
-        for w in bits(G.adj_mask(v)):
+        for w in bits(G.adj_mask(v) & alive):
             if w in colors:
                 counts[colors[w]] += 1
         colors[v] = min(range(1, s + 1), key=lambda c: (counts[c], c))
@@ -141,21 +141,25 @@ def base_defective_coloring(G: Graph, s: int) -> tuple[ColoringAssignment, int]:
 
 
 def base_clustered_coloring(
-    G: Graph, delta: int, budget: int = 3
+    G: Graph, delta: int, budget: int = 3, alive: Optional[int] = None
 ) -> tuple[ColoringAssignment, int]:
-    """Greedy small-cluster coloring with at most `budget` colors.
+    """Greedy small-cluster coloring of the piece G[alive] (alive a vertex
+    mask, default every vertex) with at most `budget` colors.
 
-    Requires max degree <= delta. Each vertex takes the color minimizing the
-    size of the monochromatic component it would join; the achieved cluster
-    size is measured afterwards.
+    Requires max degree <= delta in the piece. Each vertex takes the color
+    minimizing the size of the monochromatic component it would join; the
+    achieved cluster size is measured afterwards.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if any(G.degree(v) > delta for v in G.vertices()):
+    if alive is None:
+        alive = (1 << G.n) - 1
+    degrees = [(G.adj_mask(v) & alive).bit_count() for v in bits(alive)]
+    if any(dv > delta for dv in degrees):
         raise ValueError(f"graph has a vertex of degree > {delta}")
-    if G.m == 0:
-        return ColoringAssignment({v: 1 for v in G.vertices()}, 1), (
-            1 if G.n else 0
+    if not any(degrees):
+        return ColoringAssignment({v: 1 for v in bits(alive)}, 1), (
+            1 if alive else 0
         )
     colors: dict[int, int] = {}
     class_mask = [0] * (budget + 1)
@@ -165,7 +169,7 @@ def base_clustered_coloring(
         bit = 1 << v
         return G.reach(bit, class_mask[c] | bit).bit_count()
 
-    for v in reversed(_degeneracy_order(G)):
+    for v in reversed(_degeneracy_order(G, alive)):
         colors[v] = col = min(range(1, budget + 1),
                               key=lambda c: (joined_size(v, c), c))
         class_mask[col] |= 1 << v
@@ -178,7 +182,7 @@ def base_clustered_coloring(
 # ---------------------------------------------------------------------------
 
 
-BaseColorer = Callable[[Graph], ColoringAssignment]
+BaseColorer = Callable[[Graph, int], ColoringAssignment]
 
 
 def _check_contract(
@@ -272,21 +276,18 @@ def _extend(
         g2.update(g1)
         return g2
 
-    rest = bits(alive & ~zmask)
     emb = find_bipartite_join_subdivision(
-        G.subgraph_on(rest), 2 * t - 2, t, limit=max(G.n, 30)
+        G.subgraph_on(bits(alive & ~zmask)), 2 * t - 2, t, limit=max(G.n, 30)
     )
 
     if emb is None:
         trace.append("base-colorer")
-        # the base colorers' degeneracy order is quadratic in the vertex count
-        H, ids = G.induced(rest)
-        c0 = base(H)
+        c0 = base(G, alive & ~zmask)
         assert c0.palette_size <= d, "base colorer exceeded its palette"
         fresh = _fresh(f, k)
         g = dict(f)
         for v, c in c0.colors.items():
-            g[ids[v]] = fresh[c - 1]
+            g[v] = fresh[c - 1]
         return g
 
     trace.append("decompose")
@@ -303,7 +304,7 @@ def _extend(
     assert len(avail) >= 3, "not enough fresh colors"
     c1, c2, c3 = avail[:3]
     UZ = U - Z
-    side = bipartition(G.subgraph_on(UZ))
+    side = bipartition(G, sum(1 << v for v in UZ))
     assert side is not None
     g = dict(f)
     for v in X - Z:
@@ -342,8 +343,8 @@ def color_defective(
     _maybe_precheck(G, t)
     s = 2 * t - 2
 
-    def base(H: Graph) -> ColoringAssignment:
-        return base_defective_coloring(H, s)[0]
+    def base(H: Graph, alive: int) -> ColoringAssignment:
+        return base_defective_coloring(H, s, alive)[0]
 
     g = precolor_extend(G, frozenset(), {}, t, s, base, trace=trace)
     assert g.palette_size == 6 * t - 9
@@ -360,15 +361,14 @@ def color_clustered(
     _maybe_precheck(G, t)
     s = 2 * t - 2
 
-    def base(H: Graph) -> ColoringAssignment:
-        c1, _ = base_defective_coloring(H, s)
+    def base(H: Graph, alive: int) -> ColoringAssignment:
+        c1, _ = base_defective_coloring(H, s, alive)
         combined: dict[int, int] = {}
-        for col, members in c1.classes(H).items():
-            sub, ids = H.induced(members)
-            delta = max((sub.degree(v) for v in sub.vertices()), default=0)
-            c2, _ = base_clustered_coloring(sub, delta, 3)
-            for v in sub.vertices():
-                combined[ids[v]] = (col - 1) * 3 + c2(v)
+        for col, members in _class_masks(c1.colors).items():
+            delta = max((H.adj_mask(v) & members).bit_count() for v in bits(members))
+            c2, _ = base_clustered_coloring(H, delta, 3, members)
+            for v, c in c2.colors.items():
+                combined[v] = (col - 1) * 3 + c
         return ColoringAssignment(combined, 3 * c1.palette_size)
 
     g = precolor_extend(G, frozenset(), {}, t, 3 * s, base, trace=trace)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 
 class GraphError(ValueError):
@@ -125,20 +125,6 @@ class Graph:
 
     # -- derived graphs ------------------------------------------------
 
-    def induced(self, vertices: Sequence[int]) -> tuple["Graph", list[int]]:
-        """Induced subgraph on the given vertices (relabelled densely).
-
-        Returns (graph, old_ids) with old_ids[new] = old.
-        """
-        old_ids = sorted(set(vertices))
-        new_of = {v: i for i, v in enumerate(old_ids)}
-        edges = [
-            (new_of[u], new_of[v])
-            for u, v in self._edges
-            if u in new_of and v in new_of
-        ]
-        return Graph(len(old_ids), edges), old_ids
-
     def without_edges(self, drop: Iterable[tuple[int, int]]) -> "Graph":
         dropset = {_norm_edge(u, v) for u, v in drop}
         return Graph(self.n, [e for e in self._edges if e not in dropset])
@@ -165,16 +151,6 @@ class Graph:
             frontier = nbrs & within & ~comp
             comp |= frontier
         return comp
-
-    def components(self) -> list[list[int]]:
-        """Vertex lists of the components, each ascending, by lowest vertex."""
-        comps = []
-        rest = (1 << self.n) - 1
-        while rest:
-            comp = self.reach(rest & -rest, rest)
-            comps.append(bits(comp))
-            rest &= ~comp
-        return comps
 
 
 def complete(n: int) -> Graph:
@@ -409,21 +385,24 @@ def to_dimacs(G: Graph) -> str:
 
 
 def _two_color(
-    G: Graph,
+    G: Graph, alive: Optional[int] = None,
 ) -> tuple[dict[int, int], dict[int, int], Optional[tuple[int, int]]]:
-    """The one 2-coloring search: (colors, search-tree parents, the first
-    edge whose ends got one color, or None). The smallest vertex of each
-    component gets color 1 and has no parent; the search stops at a bad edge."""
+    """The one 2-coloring search, on the piece G[alive] (alive a vertex mask,
+    default every vertex): (colors, search-tree parents, the first edge
+    whose ends got one color, or None). The smallest vertex of each
+    component gets color 1 and has no parent; the search stops at a bad
+    edge."""
+    within = (1 << G.n) - 1 if alive is None else alive
     color: dict[int, int] = {}
     parent: dict[int, int] = {}
     for s in range(G.n):
-        if s in color:
+        if s in color or not within >> s & 1:
             continue
         color[s] = 1
         queue = [s]
         while queue:
             v = queue.pop()
-            for w in bits(G.adj_mask(v)):
+            for w in bits(G.adj_mask(v) & within):
                 if w not in color:
                     color[w] = 3 - color[v]
                     parent[w] = v
@@ -433,12 +412,13 @@ def _two_color(
     return color, parent, None
 
 
-def bipartition(G: Graph) -> Optional[TwoColoring]:
-    """Proper 2-coloring of all vertices, or None if G has an odd cycle.
+def bipartition(G: Graph, alive: Optional[int] = None) -> Optional[TwoColoring]:
+    """Proper 2-coloring of the piece G[alive] (alive a vertex mask, default
+    every vertex), or None if it has an odd cycle.
 
     Per component the coloring is canonical: the smallest vertex gets color 1.
     """
-    color, _, bad = _two_color(G)
+    color, _, bad = _two_color(G, alive)
     return None if bad else TwoColoring(color)
 
 
@@ -465,20 +445,21 @@ def find_odd_cycle(G: Graph) -> Optional[Path]:
 # ---------------------------------------------------------------------------
 
 
-def blocks(G: Graph) -> list[frozenset[int]]:
-    """Block decomposition: maximal 2-connected blocks, bridges, and
-    singleton blocks for isolated vertices.  Sorted for determinism."""
-    return [B for B, _ in _blocks(G)]
-
-
-def _blocks(G: Graph) -> list[tuple[frozenset[int], bool]]:
-    """The blocks of `blocks`, in its order, each with whether it is
-    bipartite, both from one lowpoint DFS.
+def blocks(
+    G: Graph, alive: Optional[int] = None
+) -> list[tuple[frozenset[int], bool]]:
+    """Block decomposition of the piece G[alive] (alive a vertex mask,
+    default every vertex): maximal 2-connected blocks, bridges, and
+    singleton blocks for isolated vertices, each with whether it is
+    bipartite, both from one lowpoint DFS. Sorted by lowest vertex, then
+    size, then vertices, so the list is the one of the induced, renumbered
+    piece, in G's ids.
 
     A block's vertices span a subtree of the DFS tree, so 2-coloring them by
     the parity of their DFS depth is proper on its tree edges, and the block
     is bipartite iff none of its edges joins two vertices of equal depth
     parity."""
+    within = (1 << G.n) - 1 if alive is None else alive
     result: list[tuple[frozenset[int], bool]] = []
     visited = [False] * G.n
     disc = [0] * G.n
@@ -486,16 +467,16 @@ def _blocks(G: Graph) -> list[tuple[frozenset[int], bool]]:
     depth = [0] * G.n
     timer = itertools.count(1)
     for root in range(G.n):
-        if visited[root]:
+        if visited[root] or not within >> root & 1:
             continue
-        if G.degree(root) == 0:
+        if not G.adj_mask(root) & within:
             visited[root] = True
             result.append((frozenset([root]), True))
             continue
         # iterative DFS with an edge stack
         estack: list[tuple[int, int]] = []
         stack: list[tuple[int, Optional[int], Iterator[int]]] = [
-            (root, None, iter(bits(G.adj_mask(root))))
+            (root, None, iter(bits(G.adj_mask(root) & within)))
         ]
         visited[root] = True
         disc[root] = low[root] = next(timer)
@@ -508,7 +489,7 @@ def _blocks(G: Graph) -> list[tuple[frozenset[int], bool]]:
                     visited[w] = True
                     disc[w] = low[w] = next(timer)
                     depth[w] = depth[v] + 1
-                    stack.append((w, v, iter(bits(G.adj_mask(w)))))
+                    stack.append((w, v, iter(bits(G.adj_mask(w) & within))))
                     advanced = True
                     break
                 elif w != par and disc[w] < disc[v]:

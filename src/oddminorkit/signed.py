@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graph import Graph, Path, bits, blocks, check_size, _blocks, _norm_edge
+from .graph import Graph, Path, bits, blocks, check_size, _norm_edge
 
 Edge = tuple[int, int]
 
@@ -281,11 +281,11 @@ def _mono_edge(G: Graph, m1: int, c1: int, m2: int, c2: int) -> Optional[Edge]:
     return None
 
 
-def _eligible_blocks(G: Graph, h: int, balanced: bool) -> list[int]:
+def _eligible_block_masks(G: Graph, h: int, balanced: bool) -> list[int]:
     """Vertex masks of the blocks of G that can hold a smallest model of a
     2-connected pattern on h vertices: at least h vertices, and not bipartite
     unless the pattern is balanced (find_signed_minor says why)."""
-    return [sum(1 << v for v in B) for B, bipartite in _blocks(G)
+    return [sum(1 << v for v in B) for B, bipartite in blocks(G)
             if len(B) >= h and (balanced or not bipartite)]
 
 
@@ -409,8 +409,8 @@ def find_signed_minor(
     complete = H.m == h * (h - 1) // 2
     eligible: Optional[list[int]] = None
     inside = (1 << G.n) - 1  # the vertices of the eligible blocks
-    if h >= 3 and (complete or blocks(H) == [frozenset(range(h))]):
-        eligible = _eligible_blocks(G, h, _sides(H, sigma) is not None)
+    if h >= 3 and (complete or [B for B, _ in blocks(H)] == [frozenset(range(h))]):
+        eligible = _eligible_block_masks(G, h, _sides(H, sigma) is not None)
         if not eligible:
             return None
         inside = 0

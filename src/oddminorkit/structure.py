@@ -7,7 +7,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .graph import Graph, Path, TwoColoring, bipartition, bits, complete, _blocks
+from .graph import Graph, Path, TwoColoring, bipartition, bits, blocks, complete
 from .oddminor import OddMinorModel, is_parity_breaking, verify_odd_minor_model
 from .erdosposa import labelled_s_paths, parity_breaking_dichotomy
 from .subdivision import (
@@ -91,10 +91,9 @@ def block_or_packing(
     X = res.cover
     red = restrict_subdivision(emb, X)
     assert red.s >= emb.s - len(X) and red.s + red.t >= emb.s + emb.t - len(X)
-    Gx = G.subgraph_on(set(G.vertices()) - X)
     union = red.union_vertices()
     holder = None
-    for blk, bipartite in _blocks(Gx):
+    for blk, bipartite in blocks(G, (1 << G.n) - 1 - sum(1 << x for x in X)):
         if union <= blk:
             holder = blk
             assert bipartite, "block not bipartite"

@@ -28,6 +28,15 @@ def nxg(G: Graph) -> nx.Graph:
     return H
 
 
+def induced(G: Graph, vertices) -> tuple[Graph, list[int]]:
+    """(H, old_ids): the subgraph of G induced on vertices, renumbered by
+    ascending id, with old_ids[new] = old; built from G.edges() alone."""
+    old_ids = sorted(set(vertices))
+    new_of = {v: i for i, v in enumerate(old_ids)}
+    return Graph(len(old_ids), [(new_of[u], new_of[v]) for u, v in G.edges()
+                                if u in new_of and v in new_of]), old_ids
+
+
 def bipartite_nx(G: Graph) -> bool:
     return nx.is_bipartite(nxg(G))
 
@@ -112,12 +121,14 @@ def is_separation(G: Graph, A, B) -> bool:
 def first_small_separation(G: Graph, Z, max_order: int):
     """(A, B) of the first cut, by order and then lexicographically, whose
     removal leaves two components that meet V - Z; A is the cut plus the
-    first such component (by lowest vertex), B the rest.  One Graph per cut."""
+    first such component (by lowest vertex), B the rest.  Components come
+    from networkx, one subgraph per cut."""
     Zs = set(Z)
+    H = nxg(G)
     for k in range(max_order + 1):
         for cut in itertools.combinations(range(G.n), k):
-            rest, old_ids = G.induced([v for v in G.vertices() if v not in cut])
-            comps = [[old_ids[v] for v in c] for c in rest.components()]
+            rest = H.subgraph(v for v in G.vertices() if v not in cut)
+            comps = sorted(nx.connected_components(rest), key=min)
             good = [c for c in comps if any(v not in Zs for v in c)]
             if len(good) >= 2:
                 A = frozenset(good[0]) | frozenset(cut)

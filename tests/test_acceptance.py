@@ -266,7 +266,7 @@ def test_criterion_07_precoloring_contract():
         f = {z: rng.randint(1, k) for z in zs}
         try:
             g = precolor_extend(G, frozenset(zs), f, t, d,
-                                lambda H: base_defective_coloring(H, d)[0])
+                                lambda H, alive: base_defective_coloring(H, d, alive)[0])
         except OddMinorFoundError as e:
             ok, reason = verify_odd_minor_model(G, Kt(t), e.model)
             assert ok, (seed, reason)

@@ -26,7 +26,7 @@ from oddminorkit import (
     verify_coloring,
     verify_odd_minor_model,
 )
-from oddminorkit.graph import bipartition, bits
+from oddminorkit.graph import bipartition, bits, blocks
 from oddminorkit.coloring import (
     _achieved_cluster,
     _achieved_defect,
@@ -134,6 +134,38 @@ def test_base_colorers_on_easy_shapes():
     assert cluster <= 2
     with pytest.raises(ValueError):
         base_clustered_coloring(cycle(6), 1, 3)
+
+
+@given(st.integers(0, 10**6), st.data())
+def test_routines_on_a_mask_answer_as_on_the_induced_piece(seed, data):
+    """blocks, bipartition and both base colorers on the piece G[alive] give
+    the answer on the induced, renumbered piece, read back in G's ids."""
+    rng = random.Random(seed)
+    G = random_graph(rng.randint(0, 10), rng.choice((0.2, 0.4, 0.7)), seed)
+    alive = data.draw(st.integers(0, (1 << G.n) - 1))
+    H, old_ids = oracles.induced(G, bits(alive))
+
+    def back(c):
+        return ColoringAssignment({old_ids[v]: col for v, col in c.colors.items()},
+                                  c.palette_size)
+
+    assert blocks(G, alive) == [(frozenset(old_ids[v] for v in B), bip)
+                                for B, bip in blocks(H)]
+    beta = bipartition(H)
+    want = None if beta is None else {old_ids[v]: c for v, c in beta.color.items()}
+    got = bipartition(G, alive)
+    assert (None if got is None else got.color) == want
+    s = data.draw(st.integers(1, 4))
+    c, defect = base_defective_coloring(H, s)
+    assert base_defective_coloring(G, s, alive) == (back(c), defect)
+    delta = data.draw(st.integers(0, 4))
+    try:
+        c, cluster = base_clustered_coloring(H, delta, 3)
+    except ValueError:
+        with pytest.raises(ValueError):
+            base_clustered_coloring(G, delta, 3, alive)
+    else:
+        assert base_clustered_coloring(G, delta, 3, alive) == (back(c), cluster)
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +328,8 @@ def test_precoloring_contract(seed):
     k = d + 4 * t - 7
     f = {z: rng.randint(1, k) for z in zs}
 
-    def base(H):
-        return base_defective_coloring(H, d)[0]
+    def base(H, alive):
+        return base_defective_coloring(H, d, alive)[0]
 
     try:
         g = precolor_extend(G, frozenset(zs), f, t, d, base)
@@ -318,8 +350,8 @@ def test_precoloring_contract(seed):
 def test_precolor_extend_validates_input():
     G = cycle(4)
 
-    def base(H):
-        return base_defective_coloring(H, 4)[0]
+    def base(H, alive):
+        return base_defective_coloring(H, 4, alive)[0]
 
     with pytest.raises(ValueError):
         precolor_extend(G, frozenset({0}), {}, 3, 4, base)

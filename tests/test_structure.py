@@ -113,7 +113,7 @@ def test_structure_theorem_on_the_45_vertex_one_chord_instance():
     assert isinstance(out, Decomposition)
     assert out.X == frozenset({2})
     Gx = G.subgraph_on(set(G.vertices()) - out.X)
-    assert out.U in set(blocks(Gx))
+    assert (out.U, True) in blocks(Gx)
     assert bipartition(G.subgraph_on(out.U)) is not None
     assert len(out.U) >= 3 + 3
     assert len(out.retained_branch) >= (3 * 3 - 2) - len(out.X)
