@@ -236,12 +236,25 @@ def _kt_signature(text: str, t: int) -> list[tuple[int, int]]:
 @click.option("--out", type=str, default=None)
 def detect(graph: str, fmt: str, mode: str, t: int, s: Optional[int],
            sigma: str, limit: Optional[int], out: Optional[str]):
-    """Search exhaustively for the requested substructure. For t >= 3 the
-    odd-clique and signed modes first read the blocks of the host, and a
-    host with no block that may hold the pattern (a bipartite host, for an
-    unbalanced one) is answered before any subset is built. A model with one
-    vertex per branch set is also found before any subset table is built,
-    so odd K_5 in K_20 (--limit 20) takes a fraction of a second.
+    """Search exhaustively for the requested substructure. The odd-clique
+    and signed modes run these passes in order, and the first that decides
+    answers:
+
+    \b
+    1. the least model size L = t + tau, where tau is the fewest pattern
+       vertices meeting every triangle with an even number of negative
+       edges (tau = 0 for odd K_t, and t - 2 for t >= 2 under the default
+       all-positive --sigma): a host with fewer than L vertices is absent,
+       so all-positive K_7 in K_10 takes a fraction of a second;
+    2. for t >= 3, the blocks of the host: one with fewer than L vertices,
+       or a bipartite one for an unbalanced pattern, cannot hold a smallest
+       model, and a host with no other block is absent;
+    3. when L = t, a model with one vertex per branch set, read before any
+       subset table is built, so odd K_5 in K_20 (--limit 20) takes a
+       fraction of a second;
+    4. the connected-subset table of the kept blocks, the unsigned K_t
+       minor test on it, and one branch-and-bound pass that stops at its
+       first model of the least size still possible.
 
     Prints a certificate (exit 2) or "absent" (exit 0).
     """

@@ -281,12 +281,45 @@ def _mono_edge(G: Graph, m1: int, c1: int, m2: int, c2: int) -> Optional[Edge]:
     return None
 
 
-def _eligible_block_masks(G: Graph, h: int, balanced: bool) -> list[int]:
+def _eligible_block_masks(G: Graph, least: int, balanced: bool) -> list[int]:
     """Vertex masks of the blocks of G that can hold a smallest model of a
-    2-connected pattern on h vertices: at least h vertices, and not bipartite
-    unless the pattern is balanced (find_signed_minor says why)."""
+    2-connected pattern whose models have at least `least` vertices: at least
+    that many vertices, and not bipartite unless the pattern is balanced
+    (find_signed_minor says why)."""
     return [sum(1 << v for v in B) for B, bipartite in blocks(G)
-            if len(B) >= h and (balanced or not bipartite)]
+            if len(B) >= least and (balanced or not bipartite)]
+
+
+def _least_size(H: Graph, sigma: frozenset[Edge], most: int) -> int:
+    """h + tau, a lower bound on the total size of every model of (H, sigma)
+    (find_signed_minor says why), where tau is the fewest pattern vertices
+    that meet every balanced triangle: one with an even number of negative
+    edges. A tau above most is not searched for: the answer is then h +
+    most + 1.
+
+    tau comes by iterative deepening: a cover of k vertices holds a vertex
+    of the first balanced triangle it does not yet meet, so each level
+    branches on that triangle's three vertices."""
+    tris = []
+    for a in range(H.n):
+        for b in bits(H.adj_mask(a) >> (a + 1) << (a + 1)):
+            ab = (a, b) in sigma
+            for c in bits(H.adj_mask(a) & H.adj_mask(b) >> (b + 1) << (b + 1)):
+                if ab == ((a, c) in sigma) ^ ((b, c) in sigma):
+                    tris.append(1 << a | 1 << b | 1 << c)
+
+    tau = 0
+    while tau <= most and not _meets(tris, 0, tau):
+        tau += 1
+    return H.n + tau
+
+
+def _meets(tris: list[int], cover: int, k: int) -> bool:
+    """Whether cover plus k more vertices meets every triangle mask in tris."""
+    for tri in tris:
+        if not tri & cover:
+            return k > 0 and any(_meets(tris, cover | 1 << v, k - 1) for v in bits(tri))
+    return True
 
 
 def has_clique_minor(
@@ -339,19 +372,22 @@ def find_signed_minor(
     proper on a spanning tree of it; each pattern edge ji needs a G-edge
     between the two subsets whose ends get equal colors if ji is negative
     and different colors if it is positive. The passes run in this order:
-    the size guard; for a 2-connected H, the eligible blocks of G (below),
-    with None as the answer when there are none; the size-h pass, which
-    reads one vertex per branch set, over the vertices of the eligible
-    blocks (of G when H is not 2-connected) in increasing order. Only if
-    that pass fails is the table of connected subsets built
+    the size guard; the lower bound L = h + tau on every model's size
+    (below), with None as the answer when G has fewer than L vertices; for
+    a 2-connected H, the eligible blocks of G (below), with None as the
+    answer when there are none; when L = h, the size-h pass, which reads
+    one vertex per branch set, over the vertices of the eligible blocks (of
+    G when H is not 2-connected) in increasing order. Only if no model of
+    size h is found is the table of connected subsets built
     (`_connected_subsets`, kept to the eligible blocks); when H is
     complete, the unsigned K_h minor test runs on it and its "no" is final;
     then one branch-and-bound pass runs over every larger size: at each
     model it meets it records the model and lowers its cap on the total
-    size to one less, and it stops at a model of size h + 1, the least
-    still possible. When H is complete and sigma_h is empty or E(H), every
-    reordering of a model's branch sets is a model, so they are taken in
-    increasing minimum vertex. An odd K_t minor is the case (K_t, E(K_t)).
+    size to one less, and it stops at a model of size max(L, h + 1), the
+    least still possible. When H is complete and sigma_h is empty or E(H),
+    every reordering of a model's branch sets is a model, so they are taken
+    in increasing minimum vertex. An odd K_t minor is the case
+    (K_t, E(K_t)).
 
     Both passes visit the models in one fixed order, and the cap only skips
     models larger than it. Let M be the first model of the least size s.
@@ -362,9 +398,27 @@ def find_signed_minor(
     since the loops over a mask's colorings and forms do not read the cap
     again.
 
+    Every model has at least L = h + tau vertices (`_least_size`), where
+    tau is the fewest pattern vertices that meet every balanced pattern
+    triangle, one with an even number of negative edges. Three one-vertex
+    branch sets of a pattern triangle are a triangle of G, whose three
+    witness edges are the edges between them. Of those, the ones whose ends
+    get different colors are an even number, so the positive pattern edges
+    of the triangle are too, and its negative edges are odd: the triangle
+    is unbalanced. So the pattern vertices whose branch sets have two or
+    more vertices meet every balanced triangle: there are at least tau of
+    them, and the model has at least h + tau vertices. Odd K_t has no
+    balanced triangle, so L = h; in all-positive K_t every triangle is
+    balanced, so L = 2t - 2 for t >= 2. The size-h pass runs only when
+    L = h, and the branch-and-bound pass stops at its first model of size
+    max(L, h + 1): that is the first model of least size that the pass
+    would meet, and so the model it returns, if it went on. The answer is
+    None when G has fewer than L vertices, and tau is not searched past
+    G.n - h.
+
     When H is 2-connected (every complete H with h >= 3), the blocks of G
     are read before any subset is built. A block is eligible when it has at
-    least h vertices and, if (H, sigma_h) is unbalanced, is not bipartite.
+    least L vertices and, if (H, sigma_h) is unbalanced, is not bipartite.
     With no eligible block the answer is None (so a bipartite host has no
     odd K_t for t >= 3); otherwise every pass reads only the connected
     subsets that lie inside one eligible block. Every smallest model lies
@@ -375,10 +429,11 @@ def find_signed_minor(
     in C + x, so cutting i's tree down to its part in C + x (a subtree, with
     the coloring restricted) leaves a model, and a smaller one if G' - x has
     another component. So a smallest model has a 2-connected G', which lies
-    inside one block of G. If that block is bipartite with 2-coloring beta,
-    each tree coloring is beta or its complement, and every witness edge
-    joins two beta colors, so the negative pattern edges are the cut of the
-    trees colored like beta's complement: (H, sigma_h) is balanced. Hence a
+    inside one block of G, and that block has at least L vertices. If that
+    block is bipartite with 2-coloring beta, each tree coloring is beta or
+    its complement, and every witness edge joins two beta colors, so the
+    negative pattern edges are the cut of the trees colored like beta's
+    complement: (H, sigma_h) is balanced. Hence a
     smallest model's branch sets, pairwise adjacent when H is complete, are
     all kept, and the pretest's "no" stays final. The kept subsets are the
     old order filtered, and every model of size h, or of the least size, is
@@ -406,18 +461,19 @@ def find_signed_minor(
         return SignedMinorModel({}, {}, {}, {})
     if G.n < h:
         return None
+    least = _least_size(H, sigma, G.n - h)
+    if G.n < least:
+        return None
     complete = H.m == h * (h - 1) // 2
     eligible: Optional[list[int]] = None
     inside = (1 << G.n) - 1  # the vertices of the eligible blocks
     if h >= 3 and (complete or [B for B, _ in blocks(H)] == [frozenset(range(h))]):
-        eligible = _eligible_block_masks(G, h, _sides(H, sigma) is not None)
+        eligible = _eligible_block_masks(G, least, _sides(H, sigma) is not None)
         if not eligible:
             return None
         inside = 0
         for b in eligible:
             inside |= b
-    # the size-h pass reads only one-vertex sets, so it needs no subset table
-    conn = [(1 << v, G.adj_mask(v)) for v in bits(inside)]
     symmetric = complete and len(sigma) in (0, H.m)
     # links[i]: (j, negative) for each pattern edge ji with j < i
     links = [[(j, (j, i) in sigma) for j in range(i) if H.has_edge(j, i)]
@@ -429,7 +485,7 @@ def find_signed_minor(
     # wanted and least the smallest one still possible
     choice: list[tuple[int, int]] = []
     best: list[tuple[int, int]] = []
-    cap = least = h
+    cap = least
 
     def rec(used: int, lowbound: int, size: int) -> bool:
         nonlocal cap
@@ -465,15 +521,18 @@ def find_signed_minor(
                         choice.pop()
         return False
 
-    rec(0, 0, 0)
-    # size h failed: build the table, then one branch-and-bound pass over
-    # every larger size unless the pretest says no
+    if least == h:
+        # the size-h pass reads only one-vertex sets, so it needs no table
+        conn = [(1 << v, G.adj_mask(v)) for v in bits(inside)]
+        rec(0, 0, 0)
+    # no model of size h: build the table, then one branch-and-bound pass
+    # over every larger size unless the pretest says no
     if not best and G.n > h:
         conn = _connected_subsets(G)
         if eligible is not None:
             conn = [(m, nb) for m, nb in conn if any(m & b == m for b in eligible)]
         if not complete or has_clique_minor(G, h, conn):
-            cap, least = G.n, h + 1
+            cap, least = G.n, max(least, h + 1)
             rec(0, 0, 0)
     del rec  # as in has_clique_minor: the table and colorings are freed now
     if not best:

@@ -209,6 +209,21 @@ def balanced_by_subsets(H: Graph, sigma) -> bool:
     return False
 
 
+def fewest_vertices_meeting_balanced_triangles(H: Graph, sigma) -> int:
+    """The least size of a vertex set of H that meets every triangle with an
+    even number of edges in sigma, every vertex set tried by size."""
+    negative = {tuple(sorted(e)) for e in sigma}
+    nx_H = nxg(H)
+    balanced = [tri for tri in itertools.combinations(H.vertices(), 3)
+                if all(nx_H.has_edge(u, v) for u, v in itertools.combinations(tri, 2))
+                and sum(e in negative for e in itertools.combinations(tri, 2)) % 2 == 0]
+    for k in range(H.n + 1):
+        for X in itertools.combinations(H.vertices(), k):
+            if all(set(tri) & set(X) for tri in balanced):
+                return k
+    raise AssertionError("the whole vertex set meets every triangle")
+
+
 def spread(G: Graph) -> Graph:
     """G renumbered v -> 2v: the same graph with the odd ids isolated."""
     return Graph(2 * G.n, [(2 * u, 2 * v) for u, v in G.edges()])

@@ -207,6 +207,8 @@ PATTERNS = {
     "K3": K3,
     "C4": Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
     "K4": Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)]),
+    # two triangles, 0 1 2 and 0 2 3: 2-connected, not complete
+    "K4-e": Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]),
 }
 
 
@@ -232,7 +234,11 @@ ODD_K3 = [(0, 1), (0, 2), (1, 2)]
 # may hold the pattern, so no pass has a set to try (odd K_3 in K_{3,4}, one
 # bipartite block); a non-complete H is absent (C_4 in a path). On FdD^g the
 # branch-and-bound pass meets a 7-vertex odd K_4 before a 6-vertex one, so a
-# pass that stops at its first model returns one too large.
+# pass that stops at its first model returns one too large. The last three
+# have balanced triangles, so L = h + tau exceeds h: all-positive K_3 in C_5
+# with the chord 0 2 (L = 4 of 5 vertices), all-positive K_4 in the
+# octahedron (L = 6, every vertex), and K_4 with the cut of vertex 0
+# negative, balanced, in FdD^g (L = 6 of 7 vertices).
 @example((Graph(3, [(0, 2), (1, 2)]), "P3", []))
 @example((Graph(5, [(0, 1), (0, 2), (0, 4), (1, 3), (1, 4), (2, 3), (3, 4)]),
           "K4", [(0, 3), (1, 3)]))
@@ -242,6 +248,10 @@ ODD_K3 = [(0, 1), (0, 2), (1, 2)]
 @example((complete_bipartite(3, 4), "K3", ODD_K3))
 @example((Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), "C4", []))
 @example((parse_graph(b"FdD^g", "graph6"), "K4", PATTERNS["K4"].edges()))
+@example((Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)]), "K3", []))
+@example((Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6) if v - u != 3]),
+          "K4", []))
+@example((parse_graph(b"FdD^g", "graph6"), "K4", [(0, 1), (0, 2), (0, 3)]))
 @given(signed_minor_instances())
 def test_signed_minor_search_matches_brute_force_oracle(instance):
     _assert_a_smallest_model(*instance)
@@ -265,8 +275,7 @@ def _assert_a_smallest_model(G, name, sigma):
 
 # blocks for glued hosts: bipartite (C_4), too small for K_4 (K_2, K_3), or
 # neither (K_4 minus an edge, K_4)
-BLOCKS = [Graph(2, [(0, 1)]), K3, PATTERNS["C4"],
-          Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]), PATTERNS["K4"]]
+BLOCKS = [Graph(2, [(0, 1)]), K3, PATTERNS["C4"], PATTERNS["K4-e"], PATTERNS["K4"]]
 
 
 @st.composite
@@ -329,7 +338,11 @@ def test_the_deciding_pass_searches_the_eligible_blocks_only(monkeypatch, graph6
 
 
 def _no_subset_table(G):
-    raise AssertionError("subset table built for a size-h answer")
+    raise AssertionError("subset table built")
+
+
+def _no_witness(*args):
+    raise AssertionError("witness edge tested")
 
 
 @pytest.mark.parametrize("G, h, sigma, limit", [
@@ -345,6 +358,71 @@ def test_a_size_h_answer_builds_no_subset_table(monkeypatch, G, h, sigma, limit)
     assert want is not None and all(len(vs) == 1 for vs in want.trees.values())
     monkeypatch.setattr(signed, "_connected_subsets", _no_subset_table)
     assert find_signed_minor(G, complete(h), sigma, limit=limit) == want
+
+
+@pytest.mark.parametrize("G, h, sigma", [
+    (complete(6), 3, []),
+    (complete(6), 3, [(0, 1), (0, 2)]),
+    (complete(8), 4, [(0, 1), (0, 2), (0, 3)]),
+], ids=["positive-K3-in-K6", "even-K3-in-K6", "balanced-K4-in-K8"])
+def test_a_balanced_triangle_skips_the_size_h_pass(monkeypatch, G, h, sigma):
+    # one-vertex branch sets of a triangle with an even number of negative
+    # edges form a triangle of G, which is odd; so no model has size h, and
+    # no witness edge is tested before the subset table is built
+    built = []
+    mono_edge = signed._mono_edge
+
+    def table(G):
+        built.append(True)
+        return _connected_subsets(G)
+
+    def witness(*args):
+        assert built, "witness edge tested before the subset table was built"
+        return mono_edge(*args)
+
+    want = find_signed_minor(G, complete(h), sigma)
+    monkeypatch.setattr(signed, "_connected_subsets", table)
+    monkeypatch.setattr(signed, "_mono_edge", witness)
+    model = find_signed_minor(G, complete(h), sigma)
+    assert built and model == want
+    assert verify_signed_minor_model(G, complete(h), sigma, model) == (True, "ok")
+
+
+def test_all_positive_k7_in_k10_is_absent_without_a_table(monkeypatch):
+    # every triangle of all-positive K_7 is balanced, so a model has at least
+    # 7 + 5 = 12 vertices, more than K_10 has
+    monkeypatch.setattr(signed, "_connected_subsets", _no_subset_table)
+    assert find_signed_minor(complete(10), complete(7), []) is None
+
+
+def test_the_triangle_cover_goes_no_deeper_than_the_host_allows(monkeypatch):
+    # K_14 with a Hamiltonian path negative has a triangle cover of 10
+    # vertices, found by branching about 3^10 times; K_14 has room for none
+    # of them (G.n - h = 0), so the branching stops at depth 1 and the
+    # answer is None before any table or witness edge
+    depths = []
+
+    def meets(tris, cover, k):
+        depths.append(k)
+        return meets_before(tris, cover, k)
+
+    meets_before = signed._meets
+    monkeypatch.setattr(signed, "_meets", meets)
+    monkeypatch.setattr(signed, "_connected_subsets", _no_subset_table)
+    monkeypatch.setattr(signed, "_mono_edge", _no_witness)
+    assert find_signed_minor(complete(14), complete(14), [(i, i + 1) for i in range(13)]) is None
+    assert depths and max(depths) <= 1
+
+
+@pytest.mark.parametrize("H", [complete(3), complete(4), complete(5), PATTERNS["K4-e"]],
+                         ids=["K3", "K4", "K5", "K4-e"])
+def test_least_size_is_h_plus_the_fewest_vertices_meeting_balanced_triangles(H):
+    # every signature of H (1 024 of them on K_5)
+    E = H.edges()
+    for chosen in range(1 << len(E)):
+        sigma = frozenset(e for k, e in enumerate(E) if chosen >> k & 1)
+        want = H.n + oracles.fewest_vertices_meeting_balanced_triangles(H, sigma)
+        assert signed._least_size(H, sigma, H.n) == want, sorted(sigma)
 
 
 @pytest.mark.parametrize("H", [
