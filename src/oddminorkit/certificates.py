@@ -65,7 +65,7 @@ class Certificate:
 
 
 def graph_hash(G: Graph) -> str:
-    body = f"{G.n}|" + ",".join(f"{u}-{v}" for u, v in sorted(G.edges()))
+    body = f"{G.n}|" + ",".join(f"{u}-{v}" for u, v in G.edges())
     return sha256(body.encode()).hexdigest()
 
 

@@ -249,12 +249,18 @@ def detect(graph: str, fmt: str, mode: str, t: int, s: Optional[int],
     2. for t >= 3, the blocks of the host: one with fewer than L vertices,
        or a bipartite one for an unbalanced pattern, cannot hold a smallest
        model, and a host with no other block is absent;
-    3. when L = t, a model with one vertex per branch set, read before any
-       subset table is built, so odd K_5 in K_20 (--limit 20) takes a
-       fraction of a second;
-    4. the connected-subset table of the kept blocks, the unsigned K_t
-       minor test on it, and one branch-and-bound pass that stops at its
-       first model of the least size still possible.
+    3. the L pass, which caps a model's size at L and answers with its
+       first model: when L = t it reads one vertex per branch set and
+       builds no subset table, so odd K_5 in K_20 (--limit 20) takes a
+       fraction of a second; when L > t it reads the connected subsets of
+       the kept blocks with at most L - t + 1 vertices;
+    4. if it finds none, the connected-subset table of the kept blocks and
+       one branch-and-bound pass that stops at its first model of the
+       least size still possible, L + 1.
+
+    For t >= 4 the unsigned K_t minor test runs on the whole table before
+    any set of two or more vertices is colored (before step 4 when L = t,
+    before step 3 when L > t), and its "no" is final.
 
     Prints a certificate (exit 2) or "absent" (exit 0).
     """

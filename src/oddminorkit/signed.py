@@ -203,10 +203,10 @@ def verify_signed_minor_model(
     return True, "ok"
 
 
-def _connected_subsets(G: Graph) -> list[tuple[int, int]]:
-    """All connected vertex subsets as (mask, neighbourhood) pairs, ordered by
-    size then mask; the neighbourhood is the vertices outside the mask that
-    are adjacent to it.
+def _connected_subsets(G: Graph, most: Optional[int] = None) -> list[tuple[int, int]]:
+    """All connected vertex subsets, or those of at most `most` vertices, as
+    (mask, neighbourhood) pairs, ordered by size then mask; the neighbourhood
+    is the vertices outside the mask that are adjacent to it.
 
     Built one size layer at a time: layer k + 1 is every m | b with m in
     layer k and b in N(m), and N(m | b) = (N(m) | N(b)) - (m | b) is
@@ -215,8 +215,12 @@ def _connected_subsets(G: Graph) -> list[tuple[int, int]]:
     adj = [G.adj_mask(v) for v in range(G.n)]
     layer = {1 << v: adj[v] for v in range(G.n)}
     out: list[tuple[int, int]] = []
+    size = 1
     while layer:
         out += sorted(layer.items())
+        if size == most:
+            break
+        size += 1
         grown: dict[int, int] = {}
         for m, nb in layer.items():
             rest = nb
@@ -375,16 +379,21 @@ def find_signed_minor(
     the size guard; the lower bound L = h + tau on every model's size
     (below), with None as the answer when G has fewer than L vertices; for
     a 2-connected H, the eligible blocks of G (below), with None as the
-    answer when there are none; when L = h, the size-h pass, which reads
-    one vertex per branch set, over the vertices of the eligible blocks (of
-    G when H is not 2-connected) in increasing order. Only if no model of
-    size h is found is the table of connected subsets built
-    (`_connected_subsets`, kept to the eligible blocks); when H is
-    complete, the unsigned K_h minor test runs on it and its "no" is final;
-    then one branch-and-bound pass runs over every larger size: at each
-    model it meets it records the model and lowers its cap on the total
-    size to one less, and it stops at a model of size max(L, h + 1), the
-    least still possible. When H is complete and sigma_h is empty or E(H),
+    answer when there are none; the L pass, which caps the total size at L
+    and so reads sets of at most L - h + 1 vertices, and answers with its
+    first model; and only if it finds none, the branch-and-bound pass over
+    the table of every connected subset (`_connected_subsets`, kept to the
+    eligible blocks), which at each model it meets records the model and
+    lowers its cap on the total size to one less, and stops at a model of
+    size L + 1, the least still possible. It is skipped when G has no more
+    than L vertices. At L = h the L pass is the size-h pass: it reads one
+    vertex per branch set, over the vertices of the eligible blocks (of G
+    when H is not 2-connected) in increasing order, and builds no table. At
+    L > h it reads the table cut at L - h + 1 vertices. When H is complete
+    and h >= 4, the unsigned K_h minor test runs on the whole table before
+    any set of two or more vertices is colored (so after the size-h pass,
+    or before an L pass with L > h, which then reads that table's prefix),
+    and its "no" is final. When H is complete and sigma_h is empty or E(H),
     every reordering of a model's branch sets is a model, so they are taken
     in increasing minimum vertex. An odd K_t minor is the case
     (K_t, E(K_t)).
@@ -409,12 +418,18 @@ def find_signed_minor(
     more vertices meet every balanced triangle: there are at least tau of
     them, and the model has at least h + tau vertices. Odd K_t has no
     balanced triangle, so L = h; in all-positive K_t every triangle is
-    balanced, so L = 2t - 2 for t >= 2. The size-h pass runs only when
-    L = h, and the branch-and-bound pass stops at its first model of size
-    max(L, h + 1): that is the first model of least size that the pass
-    would meet, and so the model it returns, if it went on. The answer is
-    None when G has fewer than L vertices, and tau is not searched past
-    G.n - h.
+    balanced, so L = 2t - 2 for t >= 2. The answer is None when G has fewer
+    than L vertices, and tau is not searched past G.n - h.
+
+    The L pass returns the model the branch-and-bound pass would. It visits
+    the models in that pass's fixed order, skipping only those larger than
+    L, and no model is smaller than L; so its first model is the first
+    model of least size, M above. The search places a set of k vertices
+    only while k plus one vertex for each pattern vertex still to place
+    fits under the cap, so at cap L it never reads a set of more than
+    L - h + 1 vertices: the cut table lists every set it reads, in the same
+    order. If the L pass finds no model, none has size L, so the least size
+    still possible is L + 1.
 
     When H is 2-connected (every complete H with h >= 3), the blocks of G
     are read before any subset is built. A block is eligible when it has at
@@ -449,7 +464,12 @@ def find_signed_minor(
     model of a complete H is h pairwise adjacent vertices of one eligible
     block, a K_h minor whose branch sets the table keeps, so the pretest
     would have said yes to it: running the pretest after the size-h pass
-    fails, and not before it, leaves every verdict as it was.
+    fails, and not before it, leaves every verdict as it was. For h = 3 the
+    pretest does not run, as it could only say yes: every eligible block
+    has at least L >= 3 vertices, so it is 2-connected and holds a cycle, a
+    K_3 minor whose branch sets the table keeps. For h <= 2 a size-h pass
+    that fails leaves a host with no edge, whose table holds one-vertex
+    sets only.
     """
     check_size(G, limit, "find_signed_minor")
     sigma = _edge_set(sigma_h)
@@ -482,10 +502,9 @@ def find_signed_minor(
 
     # choice[i] = (mask, colormask); assign H vertices 0..h-1 in order.
     # best is the last model recorded, cap the largest total size still
-    # wanted and least the smallest one still possible
+    # wanted and stop the smallest one still possible
     choice: list[tuple[int, int]] = []
     best: list[tuple[int, int]] = []
-    cap = least
 
     def rec(used: int, lowbound: int, size: int) -> bool:
         nonlocal cap
@@ -497,7 +516,7 @@ def find_signed_minor(
                 return False
             best[:] = choice
             cap = size - 1
-            return size == least
+            return size == stop
         rest = size + h - i - 1  # a model through mask has size >= k + rest
         for mask, _ in conn:
             k = mask.bit_count()
@@ -521,19 +540,34 @@ def find_signed_minor(
                         choice.pop()
         return False
 
-    if least == h:
-        # the size-h pass reads only one-vertex sets, so it needs no table
-        conn = [(1 << v, G.adj_mask(v)) for v in bits(inside)]
+    def table(most: Optional[int] = None) -> list[tuple[int, int]]:
+        """The connected subsets of at most `most` vertices, kept to the
+        eligible blocks."""
+        sets = _connected_subsets(G, most)
+        if eligible is None:
+            return sets
+        return [(m, nb) for m, nb in sets if any(m & b == m for b in eligible)]
+
+    # the L pass, capped at L, then the branch-and-bound pass over every
+    # larger size: each is (most, cap, stop), with most the largest set the
+    # pass can read
+    full: Optional[list[tuple[int, int]]] = None  # the whole table, once built
+    for most, cap, stop in ((least - h + 1, least, least),
+                            (None, G.n, least + 1)):
+        if best or G.n < stop:
+            break
+        if most == 1:
+            # the L pass at L = h reads only one-vertex sets: no table needed
+            conn = [(1 << v, G.adj_mask(v)) for v in bits(inside)]
+        elif full is None and complete and h >= 4:
+            # the pretest runs before any set of two or more vertices is
+            # colored, and its "no" is final
+            conn = full = table()
+            if not has_clique_minor(G, h, full):
+                break
+        else:
+            conn = full if full is not None else table(most)
         rec(0, 0, 0)
-    # no model of size h: build the table, then one branch-and-bound pass
-    # over every larger size unless the pretest says no
-    if not best and G.n > h:
-        conn = _connected_subsets(G)
-        if eligible is not None:
-            conn = [(m, nb) for m, nb in conn if any(m & b == m for b in eligible)]
-        if not complete or has_clique_minor(G, h, conn):
-            cap, least = G.n, max(least, h + 1)
-            rec(0, 0, 0)
     del rec  # as in has_clique_minor: the table and colorings are freed now
     if not best:
         return None

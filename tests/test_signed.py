@@ -238,7 +238,10 @@ ODD_K3 = [(0, 1), (0, 2), (1, 2)]
 # have balanced triangles, so L = h + tau exceeds h: all-positive K_3 in C_5
 # with the chord 0 2 (L = 4 of 5 vertices), all-positive K_4 in the
 # octahedron (L = 6, every vertex), and K_4 with the cut of vertex 0
-# negative, balanced, in FdD^g (L = 6 of 7 vertices).
+# negative, balanced, in FdD^g (L = 6 of 7 vertices). All-positive K_3 has
+# L = 4: in C_4 the least model has L vertices, so the pass capped at L
+# answers; in C_6 it has 6, so that pass fails and the branch-and-bound pass
+# answers.
 @example((Graph(3, [(0, 2), (1, 2)]), "P3", []))
 @example((Graph(5, [(0, 1), (0, 2), (0, 4), (1, 3), (1, 4), (2, 3), (3, 4)]),
           "K4", [(0, 3), (1, 3)]))
@@ -252,6 +255,8 @@ ODD_K3 = [(0, 1), (0, 2), (1, 2)]
 @example((Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6) if v - u != 3]),
           "K4", []))
 @example((parse_graph(b"FdD^g", "graph6"), "K4", [(0, 1), (0, 2), (0, 3)]))
+@example((cycle(4), "K3", []))
+@example((cycle(6), "K3", []))
 @given(signed_minor_instances())
 def test_signed_minor_search_matches_brute_force_oracle(instance):
     _assert_a_smallest_model(*instance)
@@ -372,9 +377,9 @@ def test_a_balanced_triangle_skips_the_size_h_pass(monkeypatch, G, h, sigma):
     built = []
     mono_edge = signed._mono_edge
 
-    def table(G):
+    def table(G, most=None):
         built.append(True)
-        return _connected_subsets(G)
+        return _connected_subsets(G, most)
 
     def witness(*args):
         assert built, "witness edge tested before the subset table was built"
@@ -386,6 +391,53 @@ def test_a_balanced_triangle_skips_the_size_h_pass(monkeypatch, G, h, sigma):
     model = find_signed_minor(G, complete(h), sigma)
     assert built and model == want
     assert verify_signed_minor_model(G, complete(h), sigma, model) == (True, "ok")
+
+
+def test_a_model_at_the_lower_bound_colors_no_larger_set(monkeypatch):
+    # every triangle of K_5 with the cut of vertex 0 negative is balanced, so
+    # L = 5 + 3 = 8; the pass capped at L reads sets of at most L - h + 1 = 4
+    # vertices and finds an 8-vertex model, so no larger set is colored
+    G, H, sigma = random_graph(11, 0.6, 2), complete(5), [(0, 1), (0, 2), (0, 3), (0, 4)]
+    largest = []
+
+    def recording(G, mask):
+        largest.append(mask.bit_count())
+        return _valid_colorings(G, mask)
+
+    monkeypatch.setattr(signed, "_valid_colorings", recording)
+    model = find_signed_minor(G, H, sigma)
+    assert model is not None
+    assert sum(len(vs) for vs in model.trees.values()) == 8
+    assert verify_signed_minor_model(G, H, sigma, model) == (True, "ok")
+    assert max(largest) <= 4
+
+
+def _no_pretest(*args):
+    raise AssertionError("unsigned pretest run")
+
+
+@pytest.mark.parametrize("G, size", [(complete(6), 4), (cycle(6), 6)], ids=["K6", "C6"])
+def test_no_pretest_for_a_triangle(monkeypatch, G, size):
+    # every eligible block of a K_3 search has a cycle, a K_3 minor, so the
+    # unsigned pretest could only say yes; all-positive K_3 has L = 4, met in
+    # K_6 by the pass capped at L and in C_6 by the branch-and-bound pass
+    monkeypatch.setattr(signed, "has_clique_minor", _no_pretest)
+    model = find_signed_minor(G, complete(3), [])
+    assert sum(len(vs) for vs in model.trees.values()) == size
+
+
+def test_the_pretest_answers_odd_k4_before_a_larger_set_is_colored(monkeypatch):
+    # C_5 is one non-bipartite block with no K_4 minor: the size-h pass reads
+    # one-vertex sets, and the pretest's "no" comes before any larger set
+    colored = []
+
+    def recording(G, mask):
+        colored.append(mask)
+        return _valid_colorings(G, mask)
+
+    monkeypatch.setattr(signed, "_valid_colorings", recording)
+    assert find_odd_clique_minor(cycle(5), 4) is None
+    assert colored and all(m.bit_count() == 1 for m in colored)
 
 
 def test_all_positive_k7_in_k10_is_absent_without_a_table(monkeypatch):
@@ -454,6 +506,15 @@ def test_connected_subset_table_matches_brute_force(seed):
         for v in bits(m):
             union |= G.adj_mask(v)
         assert nb == union & ~m
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_cut_subset_table_is_the_prefix_of_the_full_one(seed):
+    rng = random.Random(seed)
+    G = random_graph(rng.randint(1, 9), rng.choice((0.2, 0.35, 0.5, 0.8)), seed)
+    full = _connected_subsets(G)
+    for most in range(1, G.n + 2):
+        assert _connected_subsets(G, most) == [p for p in full if p[0].bit_count() <= most]
 
 
 @pytest.mark.parametrize("seed", range(24))
