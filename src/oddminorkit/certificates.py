@@ -29,16 +29,6 @@ except ImportError:  # other interpreters and versions
 
 SCHEMA = "odd-minor-kit/1"
 
-KINDS = (
-    "odd-minor-model",
-    "signed-minor-model",
-    "subdivision",
-    "packing",
-    "cover",
-    "decomposition",
-    "coloring",
-)
-
 _PAYLOAD_KEYS = {
     "odd-minor-model": {"pattern_n", "pattern_edges", "trees", "tree_edges", "alpha", "connectors"},
     "signed-minor-model": {
@@ -51,6 +41,8 @@ _PAYLOAD_KEYS = {
     "decomposition": {"t", "X", "U", "retained_branch", "reduced"},
     "coloring": {"mode", "t", "bound", "palette", "value", "colors"},
 }
+
+KINDS = tuple(_PAYLOAD_KEYS)
 
 
 class CertificateError(ValueError):

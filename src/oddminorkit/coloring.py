@@ -141,28 +141,24 @@ def base_defective_coloring(
 
 
 def base_clustered_coloring(
-    G: Graph, delta: int, budget: int = 3, alive: Optional[int] = None
+    G: Graph, alive: Optional[int] = None
 ) -> tuple[ColoringAssignment, int]:
     """Greedy small-cluster coloring of the piece G[alive] (alive a vertex
-    mask, default every vertex) with at most `budget` colors.
+    mask, default every vertex) with at most 3 colors, the paper's three
+    per defective class.
 
-    Requires max degree <= delta in the piece. Each vertex takes the color
-    minimizing the size of the monochromatic component it would join; the
-    achieved cluster size is measured afterwards.
+    Each vertex takes the color minimizing the size of the monochromatic
+    component it would join; the achieved cluster size is measured
+    afterwards.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     if alive is None:
         alive = (1 << G.n) - 1
-    degrees = [(G.adj_mask(v) & alive).bit_count() for v in bits(alive)]
-    if any(dv > delta for dv in degrees):
-        raise ValueError(f"graph has a vertex of degree > {delta}")
-    if not any(degrees):
+    if not any(G.adj_mask(v) & alive for v in bits(alive)):
         return ColoringAssignment({v: 1 for v in bits(alive)}, 1), (
             1 if alive else 0
         )
     colors: dict[int, int] = {}
-    class_mask = [0] * (budget + 1)
+    class_mask = [0] * 4  # by color, 1..3
 
     def joined_size(v: int, c: int) -> int:
         # order of the class-c component v would join
@@ -170,10 +166,9 @@ def base_clustered_coloring(
         return G.reach(bit, class_mask[c] | bit).bit_count()
 
     for v in reversed(_degeneracy_order(G, alive)):
-        colors[v] = col = min(range(1, budget + 1),
-                              key=lambda c: (joined_size(v, c), c))
+        colors[v] = col = min(range(1, 4), key=lambda c: (joined_size(v, c), c))
         class_mask[col] |= 1 << v
-    c = ColoringAssignment(colors, budget)
+    c = ColoringAssignment(colors, 3)
     return c, _achieved_cluster(G, colors)
 
 
@@ -365,8 +360,7 @@ def color_clustered(
         c1, _ = base_defective_coloring(H, s, alive)
         combined: dict[int, int] = {}
         for col, members in _class_masks(c1.colors).items():
-            delta = max((H.adj_mask(v) & members).bit_count() for v in bits(members))
-            c2, _ = base_clustered_coloring(H, delta, 3, members)
+            c2, _ = base_clustered_coloring(H, members)
             for v, c in c2.colors.items():
                 combined[v] = (col - 1) * 3 + c
         return ColoringAssignment(combined, 3 * c1.palette_size)

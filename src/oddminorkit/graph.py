@@ -385,13 +385,15 @@ def to_dimacs(G: Graph) -> str:
 
 
 def _two_color(
-    G: Graph, alive: Optional[int] = None,
+    G: Graph, alive: Optional[int] = None, same: Optional[list[int]] = None,
 ) -> tuple[dict[int, int], dict[int, int], Optional[tuple[int, int]]]:
     """The one 2-coloring search, on the piece G[alive] (alive a vertex mask,
     default every vertex): (colors, search-tree parents, the first edge
-    whose ends got one color, or None). The smallest vertex of each
-    component gets color 1 and has no parent; the search stops at a bad
-    edge."""
+    that breaks the rule, or None). The rule: the ends of an edge vw get
+    one color iff w is in same[v], a mask of the neighbours that keep v's
+    color (same symmetric; default none, so the coloring is proper). The
+    smallest vertex of each component gets color 1 and has no parent; the
+    search stops at a bad edge."""
     within = (1 << G.n) - 1 if alive is None else alive
     color: dict[int, int] = {}
     parent: dict[int, int] = {}
@@ -402,12 +404,14 @@ def _two_color(
         queue = [s]
         while queue:
             v = queue.pop()
+            c, keep = color[v], 0 if same is None else same[v]
             for w in bits(G.adj_mask(v) & within):
+                want = c if keep >> w & 1 else 3 - c
                 if w not in color:
-                    color[w] = 3 - color[v]
+                    color[w] = want
                     parent[w] = v
                     queue.append(w)
-                elif color[w] == color[v]:
+                elif color[w] != want:
                     return color, parent, (v, w)
     return color, parent, None
 

@@ -109,12 +109,13 @@ def find_odd_clique_minor(
     least t vertices and an odd cycle (so a bipartite host is absent before
     any subset is built). Otherwise it looks for t pairwise adjacent
     vertices of those blocks (an odd K_t with one vertex per branch set)
-    before it builds any subset table; only when there are none does an
-    unsigned K_t minor test run, and then the search over larger branch
-    sets. Branch sets are taken in increasing minimum vertex and by
-    increasing total size, so the first hit is a smallest witness. The
-    renaming keeps the model valid: alpha is the union of the tree
-    colorings, proper on each tree, and the connectors are the edge
+    before it builds any subset table. When there are none, an unsigned K_t
+    minor test runs for t >= 4, whose "no" is final (at t = 3 every such
+    block holds a cycle, so it could only say yes), and then the search
+    over larger branch sets. Branch sets are taken in increasing minimum
+    vertex and by increasing total size, so the first hit is a smallest
+    witness. The renaming keeps the model valid: alpha is the union of the
+    tree colorings, proper on each tree, and the connectors are the edge
     witnesses, monochromatic.
     """
     if t < 1:

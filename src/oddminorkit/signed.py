@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graph import Graph, Path, bits, blocks, check_size, _norm_edge
+from .graph import Graph, Path, bits, blocks, check_size, _norm_edge, _two_color
 
 Edge = tuple[int, int]
 
@@ -81,22 +81,15 @@ def signatures_equivalent(
 
 def _sides(G: Graph, odd: frozenset[Edge]) -> Optional[list[int]]:
     """A side, 0 or 1, per vertex of G such that exactly the edges in odd
-    join the two sides, or None if there is none. Sides are read along a
-    spanning forest, each component's lowest vertex on side 0, and then every
-    edge is checked. (G, odd) is balanced iff the sides exist."""
-    side = [-1] * G.n
-    for r in range(G.n):
-        if side[r] < 0:
-            side[r], todo = 0, [r]
-            while todo:
-                u = todo.pop()
-                for v in bits(G.adj_mask(u)):
-                    if side[v] < 0:
-                        side[v] = side[u] ^ (_norm_edge(u, v) in odd)
-                        todo.append(v)
-    if all(side[u] ^ side[v] == ((u, v) in odd) for u, v in G.edges()):
-        return side
-    return None
+    join the two sides, or None if there is none: `_two_color` with the
+    even edges keeping their ends' color, each component's lowest vertex on
+    side 0. (G, odd) is balanced iff the sides exist."""
+    same = [G.adj_mask(v) for v in range(G.n)]
+    for u, v in odd:
+        same[u] &= ~(1 << v)
+        same[v] &= ~(1 << u)
+    color, _, bad = _two_color(G, same=same)
+    return None if bad else [color[v] - 1 for v in range(G.n)]
 
 
 # ---------------------------------------------------------------------------

@@ -60,13 +60,9 @@ class SubdivisionEmbedding:
         return self.linking[_norm_edge(u, v)]
 
     def host_coloring(self, n: int) -> Optional[TwoColoring]:
-        """The union's proper 2-coloring restricted to its vertices, if bipartite."""
-        H = self.union_graph(n)
-        beta = bipartition(H)
-        if beta is None:
-            return None
-        vs = self.union_vertices()
-        return TwoColoring({v: beta(v) for v in vs})
+        """The union's proper 2-coloring on its vertices, if bipartite."""
+        alive = sum(1 << v for v in self.union_vertices())
+        return bipartition(self.union_graph(n), alive)
 
 
 def verify_subdivision(
@@ -105,9 +101,10 @@ def verify_subdivision(
 
 
 def _paths_between(
-    G: Graph, a: int, b: int, forbidden: frozenset[int], parity: Optional[int]
+    G: Graph, a: int, b: int, forbidden: int, parity: Optional[int]
 ) -> Iterator[Path]:
-    """Simple a-b paths with internals outside forbidden, shortest first.
+    """Simple a-b paths with internals outside forbidden (a vertex mask),
+    shortest first.
 
     parity, if given, restricts |E(P)| mod 2. Iterative deepening keeps the
     shortest-first order without storing all paths; neighbours are pushed
@@ -115,9 +112,7 @@ def _paths_between(
     deepening stops at the first length that no walk reaches, as no longer
     walk can then exist, so isolated vertices of G cost nothing.
     """
-    blocked = 1 << b  # b and the forbidden vertices are never interior
-    for v in forbidden:
-        blocked |= 1 << v
+    blocked = forbidden | 1 << b  # never interior
     for length in range(1, G.n + 1):
         if parity is not None and length % 2 != parity:
             continue
@@ -177,7 +172,7 @@ def find_bipartite_join_subdivision(
     edges.sort(key=lambda e: (min(e) != 0, e))
 
     def route(
-        branch: dict[int, int], idx: int, used: frozenset[int],
+        branch: dict[int, int], idx: int, used: int,
         par: dict[int, int], linking: dict[Edge, Path],
     ) -> bool:
         if idx == len(edges):
@@ -188,7 +183,7 @@ def find_bipartite_join_subdivision(
         if u in par and v in par:
             want = par[u] ^ par[v]
         for p in _paths_between(G, a, b, used, want):
-            inner = frozenset(p.vertices[1:-1])
+            inner = sum(1 << x for x in p.vertices[1:-1])
             par2 = dict(par)
             if u not in par2:
                 par2[u] = par2[v] ^ (p.length % 2)
@@ -216,7 +211,7 @@ def find_bipartite_join_subdivision(
             branch = {i: clique[i] for i in range(s)}
             branch.update({s + j: stable[j] for j in range(t)})
             linking: dict[Edge, Path] = {}
-            used = frozenset(branch.values())
+            used = sum(1 << v for v in branch.values())
             if route(branch, 0, used, {0: 0}, linking):
                 del route  # see below
                 emb = SubdivisionEmbedding(s, t, branch, dict(linking))

@@ -120,8 +120,7 @@ def test_base_defective_measures_truthfully(seed):
 def test_base_clustered_measures_truthfully(seed):
     rng = random.Random(seed)
     G = random_graph(rng.randint(1, 10), 0.3, seed)
-    delta = max((G.degree(v) for v in G.vertices()), default=0)
-    c, cluster = base_clustered_coloring(G, delta, 3)
+    c, cluster = base_clustered_coloring(G)
     assert cluster == oracles.largest_class_component(G, c.colors)
     assert verify_coloring(G, c, "clustered", cluster)
 
@@ -130,10 +129,8 @@ def test_base_colorers_on_easy_shapes():
     tree = Graph(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
     _, defect = base_defective_coloring(tree, 2)
     assert defect == 0  # trees are properly 2-colorable greedily
-    _, cluster = base_clustered_coloring(cycle(6), 2, 3)
+    _, cluster = base_clustered_coloring(cycle(6))
     assert cluster <= 2
-    with pytest.raises(ValueError):
-        base_clustered_coloring(cycle(6), 1, 3)
 
 
 @given(st.integers(0, 10**6), st.data())
@@ -158,14 +155,8 @@ def test_routines_on_a_mask_answer_as_on_the_induced_piece(seed, data):
     s = data.draw(st.integers(1, 4))
     c, defect = base_defective_coloring(H, s)
     assert base_defective_coloring(G, s, alive) == (back(c), defect)
-    delta = data.draw(st.integers(0, 4))
-    try:
-        c, cluster = base_clustered_coloring(H, delta, 3)
-    except ValueError:
-        with pytest.raises(ValueError):
-            base_clustered_coloring(G, delta, 3, alive)
-    else:
-        assert base_clustered_coloring(G, delta, 3, alive) == (back(c), cluster)
+    c, cluster = base_clustered_coloring(H)
+    assert base_clustered_coloring(G, alive) == (back(c), cluster)
 
 
 # ---------------------------------------------------------------------------

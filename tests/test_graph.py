@@ -23,7 +23,7 @@ from oddminorkit import (
     to_edgelist,
     to_graph6,
 )
-from oddminorkit.graph import bits, check_size
+from oddminorkit.graph import _two_color, bits, check_size
 
 import oracles
 
@@ -125,6 +125,38 @@ def test_bipartition_agrees_with_networkx(G):
     if beta is not None:
         for u, v in G.edges():
             assert beta(u) != beta(v)
+
+
+@given(graphs(), st.data())
+def test_two_color_keeps_same_pairs_and_splits_the_rest(G, data):
+    """_two_color on a random piece with random symmetric same masks against
+    every coloring of the piece: the rule is that the ends of an edge vw get
+    one color iff w is in same[v]."""
+    alive = data.draw(st.integers(0, (1 << G.n) - 1))
+    same = [0] * G.n
+    for u, v in itertools.combinations(range(G.n), 2):
+        if data.draw(st.booleans()):
+            same[u] |= 1 << v
+            same[v] |= 1 << u
+    piece = bits(alive)
+    edges = [(u, v) for u, v in G.edges() if alive >> u & alive >> v & 1]
+
+    def obeys(color):
+        return all((color[u] == color[v]) == bool(same[u] >> v & 1) for u, v in edges)
+
+    want = any(obeys(dict(zip(piece, cs)))
+               for cs in itertools.product((1, 2), repeat=len(piece)))
+    color, parent, bad = _two_color(G, alive, same)
+    assert (bad is None) == want
+    if bad is None:
+        assert set(color) == set(piece) and obeys(color)
+        for v in piece:
+            if not G.reach(1 << v, alive) & ((1 << v) - 1):
+                assert color[v] == 1 and v not in parent
+    else:
+        v, w = bad
+        assert G.has_edge(v, w) and alive >> v & alive >> w & 1
+        assert (color[v] == color[w]) != bool(same[v] >> w & 1)
 
 
 @given(graphs())

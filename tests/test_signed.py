@@ -489,7 +489,15 @@ def test_the_tree_side_test_decides_balance(H):
     for chosen in range(1 << len(E)):
         sigma = frozenset(e for k, e in enumerate(E) if chosen >> k & 1)
         want = oracles.balanced_by_subsets(H, sigma)
-        assert (signed._sides(H, sigma) is not None) == want, sorted(sigma)
+        side = signed._sides(H, sigma)
+        assert (side is not None) == want, sorted(sigma)
+        if side is not None:
+            # exactly the edges of sigma cross, and each component's lowest
+            # vertex is on side 0
+            assert all((side[u] != side[v]) == ((u, v) in sigma) for u, v in E)
+            full = (1 << H.n) - 1
+            assert all(side[v] == 0 for v in range(H.n)
+                       if not H.reach(1 << v, full) & ((1 << v) - 1))
 
 
 @pytest.mark.parametrize("seed", range(40))

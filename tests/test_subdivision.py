@@ -113,11 +113,11 @@ def test_paths_between_yields_the_simple_paths_shortest_first(seed):
                   if rng.random() < 0.45])
     a, b = rng.sample(range(n), 2)
     # ends may be forbidden too, as the branch vertices are when routing
-    forbidden = frozenset(v for v in range(n) if rng.random() < 0.25)
+    forbidden = sum(1 << v for v in range(n) if rng.random() < 0.25)
     parity = rng.choice([None, 0, 1])
     got = [p.vertices for p in _paths_between(G, a, b, forbidden, parity)]
     want = [tuple(p) for p in oracles.all_simple_paths_between(G, a, b)
-            if not forbidden & set(p[1:-1])
+            if not any(forbidden >> v & 1 for v in p[1:-1])
             and (parity is None or (len(p) - 1) % 2 == parity)]
     assert sorted(got) == sorted(want)
     lengths = [len(p) - 1 for p in got]
