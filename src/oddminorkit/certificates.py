@@ -155,7 +155,8 @@ def certify_signed_minor_model(
     payload = {
         "pattern_n": H.n,
         "pattern_edges": _edges_out(H.edges()),
-        "pattern_signature": _edges_out({_norm_edge(u, v) for u, v in sigma_h}),
+        "pattern_signature": _edges_out(
+            {_norm_edge(*_ids(e, "signature edge")) for e in sigma_h}),
         "trees": {str(u): list(vs) for u, vs in model.trees.items()},
         "tree_edges": {str(u): _edges_out(es) for u, es in model.tree_edges.items()},
         "tree_colorings": {

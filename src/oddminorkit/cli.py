@@ -246,21 +246,25 @@ def detect(graph: str, fmt: str, mode: str, t: int, s: Optional[int],
        edges (tau = 0 for odd K_t, and t - 2 for t >= 2 under the default
        all-positive --sigma): a host with fewer than L vertices is absent,
        so all-positive K_7 in K_10 takes a fraction of a second;
-    2. for t >= 3, the blocks of the host: one with fewer than L vertices,
-       or a bipartite one for an unbalanced pattern, cannot hold a smallest
-       model, and a host with no other block is absent;
-    3. the L pass, which caps a model's size at L and answers with its
-       first model: when L = t it reads one vertex per branch set and
-       builds no subset table, so odd K_5 in K_20 (--limit 20) takes a
-       fraction of a second; when L > t it reads the connected subsets of
-       the kept blocks with at most L - t + 1 vertices;
-    4. if it finds none, the connected-subset table of the kept blocks and
-       one branch-and-bound pass that stops at its first model of the
-       least size still possible, L + 1.
+    2. when L = t, the size-h pass: the first t vertices of the host, in
+       vertex order, adjacent wherever the pattern has an edge, found with
+       bitmasks over every vertex and colored only once found; it builds
+       no subset table and reads no block, so odd K_5 in K_20 (--limit 20)
+       takes a fraction of a second;
+    3. if it finds none, or when L > t, for t >= 3 the blocks of the host:
+       one with fewer than L vertices, or a bipartite one for an unbalanced
+       pattern, cannot hold a smallest model, and a host with no other
+       block is absent;
+    4. when L > t, the L pass, which caps a model's size at L, reads the
+       connected subsets of the kept blocks with at most L - t + 1
+       vertices, and answers with its first model;
+    5. if no model of size L was found, the connected-subset table of the
+       kept blocks and one branch-and-bound pass that stops at its first
+       model of the least size still possible, L + 1.
 
     For t >= 4 the unsigned K_t minor test runs on the whole table before
-    any set of two or more vertices is colored (before step 4 when L = t,
-    before step 3 when L > t), and its "no" is final.
+    any set of two or more vertices is colored (before step 5 when L = t,
+    before step 4 when L > t), and its "no" is final.
 
     Prints a certificate (exit 2) or "absent" (exit 0).
     """

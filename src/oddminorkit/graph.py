@@ -72,11 +72,16 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
+        if type(n) is bool:
+            raise GraphError("vertex count must be an integer, not a bool")
         masks = [0] * n
         es: list[tuple[int, int]] = []
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"vertex index out of range in edge ({u},{v})")
+            # a bool passes as 0 or 1, but graph_hash would spell it out
+            if type(u) is bool or type(v) is bool:
+                raise GraphError(f"edge ({u},{v}) names a vertex by a bool")
             if u == v:
                 raise GraphError(f"loop at vertex {u} rejected")
             if masks[u] >> v & 1:

@@ -105,17 +105,18 @@ def find_odd_clique_minor(
 
     The size guard runs first. Then the exhaustive `find_signed_minor`
     searches for (K_t, all edges negative) and asserts its model before
-    returning it. For t >= 3 it answers at once when no block of G has at
-    least t vertices and an odd cycle (so a bipartite host is absent before
-    any subset is built). Otherwise it looks for t pairwise adjacent
-    vertices of those blocks (an odd K_t with one vertex per branch set)
-    before it builds any subset table. When there are none, an unsigned K_t
-    minor test runs for t >= 4, whose "no" is final (at t = 3 every such
-    block holds a cycle, so it could only say yes), and then the search
-    over larger branch sets. Branch sets are taken in increasing minimum
-    vertex and by increasing total size, so the first hit is a smallest
-    witness. The renaming keeps the model valid: alpha is the union of the
-    tree colorings, proper on each tree, and the connectors are the edge
+    returning it. It first looks for t pairwise adjacent vertices of G (an
+    odd K_t with one vertex per branch set) with a bitmask search, before
+    it reads the blocks of G or builds any subset table. When there are
+    none, for t >= 3 it answers at once when no block of G has at least t
+    vertices and an odd cycle (so a bipartite host is absent before any
+    subset is built). Otherwise an unsigned K_t minor test runs for t >= 4,
+    whose "no" is final (at t = 3 every such block holds a cycle, so it
+    could only say yes), and then the search over larger branch sets of
+    those blocks. Branch sets are taken in increasing minimum vertex and by
+    increasing total size, so the first hit is a smallest witness. The
+    renaming keeps the model valid: alpha is the union of the tree
+    colorings, proper on each tree, and the connectors are the edge
     witnesses, monochromatic.
     """
     if t < 1:

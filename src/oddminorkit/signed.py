@@ -311,6 +311,46 @@ def _least_size(H: Graph, sigma: frozenset[Edge], most: int) -> int:
     return H.n + tau
 
 
+def _first_embedding(
+    G: Graph, earlier: list[list[int]], increasing: bool
+) -> Optional[list[int]]:
+    """The first tuple (v_0, .., v_{h-1}) of distinct vertices of G, in
+    lexicographic order, with v_i adjacent to v_j for each j in earlier[i];
+    or None. Vertex i takes the lowest vertex left among the common
+    neighbours of the v_j. With increasing, only increasing tuples are
+    tried: for a complete pattern the first tuple is one, as reordering a
+    clique's vertices gives a clique, so this only prunes. A vertex whose
+    next depth has no candidate is not descended into, which skips only
+    tuples that fail."""
+    h = len(earlier)
+    adj = list(map(G.adj_mask, range(G.n)))
+    full = (1 << G.n) - 1
+    vs = [0] * h
+    cands = [full] + [0] * (h - 1)  # the vertices still to try at each depth
+    used = 0  # vs[:i]
+    i = 0
+    while True:
+        c = cands[i]
+        if c:
+            b = c & -c
+            cands[i] = c ^ b
+            vs[i] = b.bit_length() - 1
+            if i + 1 == h:
+                return vs
+            m = full & -(b << 1) if increasing else full & ~(used | b)
+            for j in earlier[i + 1]:
+                m &= adj[vs[j]]
+            if m:
+                used |= b
+                i += 1
+                cands[i] = m
+        elif i:
+            i -= 1
+            used ^= 1 << vs[i]
+        else:
+            return None
+
+
 def _meets(tris: list[int], cover: int, k: int) -> bool:
     """Whether cover plus k more vertices meets every triangle mask in tris."""
     for tri in tris:
@@ -370,26 +410,25 @@ def find_signed_minor(
     between the two subsets whose ends get equal colors if ji is negative
     and different colors if it is positive. The passes run in this order:
     the size guard; the lower bound L = h + tau on every model's size
-    (below), with None as the answer when G has fewer than L vertices; for
-    a 2-connected H, the eligible blocks of G (below), with None as the
-    answer when there are none; the L pass, which caps the total size at L
-    and so reads sets of at most L - h + 1 vertices, and answers with its
-    first model; and only if it finds none, the branch-and-bound pass over
-    the table of every connected subset (`_connected_subsets`, kept to the
-    eligible blocks), which at each model it meets records the model and
-    lowers its cap on the total size to one less, and stops at a model of
-    size L + 1, the least still possible. It is skipped when G has no more
-    than L vertices. At L = h the L pass is the size-h pass: it reads one
-    vertex per branch set, over the vertices of the eligible blocks (of G
-    when H is not 2-connected) in increasing order, and builds no table. At
-    L > h it reads the table cut at L - h + 1 vertices. When H is complete
-    and h >= 4, the unsigned K_h minor test runs on the whole table before
-    any set of two or more vertices is colored (so after the size-h pass,
-    or before an L pass with L > h, which then reads that table's prefix),
-    and its "no" is final. When H is complete and sigma_h is empty or E(H),
-    every reordering of a model's branch sets is a model, so they are taken
-    in increasing minimum vertex. An odd K_t minor is the case
-    (K_t, E(K_t)).
+    (below), with None as the answer when G has fewer than L vertices; at
+    L = h, the size-h pass (below), a bitmask search over every vertex of G
+    that answers with its first model and builds no table; and only when it
+    finds none, or at L > h: for a 2-connected H, the eligible blocks of G
+    (below), with None as the answer when there are none; at L > h the L
+    pass, which caps the total size at L and so reads the table cut at
+    L - h + 1 vertices, and answers with its first model; and only if no
+    model of size L was found, the branch-and-bound pass over the table of
+    every connected subset (`_connected_subsets`, kept to the eligible
+    blocks), which at each model it meets records the model and lowers its
+    cap on the total size to one less, and stops at a model of size L + 1,
+    the least still possible. It is skipped when G has no more than L
+    vertices. When H is complete and h >= 4, the unsigned K_h minor test
+    runs on the whole table before any set of two or more vertices is
+    colored (so after the size-h pass, or before an L pass with L > h,
+    which then reads that table's prefix), and its "no" is final. When H is
+    complete and sigma_h is empty or E(H), every reordering of a model's
+    branch sets is a model, so they are taken in increasing minimum vertex.
+    An odd K_t minor is the case (K_t, E(K_t)).
 
     Both passes visit the models in one fixed order, and the cap only skips
     models larger than it. Let M be the first model of the least size s.
@@ -428,43 +467,64 @@ def find_signed_minor(
     are read before any subset is built. A block is eligible when it has at
     least L vertices and, if (H, sigma_h) is unbalanced, is not bipartite.
     With no eligible block the answer is None (so a bipartite host has no
-    odd K_t for t >= 3); otherwise every pass reads only the connected
-    subsets that lie inside one eligible block. Every smallest model lies
-    inside one eligible block. Let G' be the union of a model's spanning
-    trees and witness edges, and x a cut vertex of G', in the tree of
-    pattern vertex i. Every other tree misses x, and H - i is connected, so
-    all of them lie in one component C of G' - x. A witness edge of i ends
-    in C + x, so cutting i's tree down to its part in C + x (a subtree, with
-    the coloring restricted) leaves a model, and a smaller one if G' - x has
-    another component. So a smallest model has a 2-connected G', which lies
-    inside one block of G, and that block has at least L vertices. If that
-    block is bipartite with 2-coloring beta, each tree coloring is beta or
-    its complement, and every witness edge joins two beta colors, so the
-    negative pattern edges are the cut of the trees colored like beta's
-    complement: (H, sigma_h) is balanced. Hence a
-    smallest model's branch sets, pairwise adjacent when H is complete, are
-    all kept, and the pretest's "no" stays final. The kept subsets are the
-    old order filtered, and every model of size h, or of the least size, is
-    kept, so both passes meet the old first model of least size at its
-    place: the verdict and the model returned are those of a search
-    over every connected subset.
+    odd K_t for t >= 3); otherwise every pass after the size-h pass reads
+    only the connected subsets that lie inside one eligible block. Every
+    smallest model lies inside one eligible block. Let G' be the union of
+    a model's spanning trees and witness edges, and x a cut vertex of G',
+    in the tree of pattern vertex i. Every other tree misses x, and H - i
+    is connected, so all of them lie in one component C of G' - x. A
+    witness edge of i ends in C + x, so cutting i's tree down to its part
+    in C + x (a subtree, with the coloring restricted) leaves a model, and
+    a smaller one if G' - x has another component. So a smallest model has
+    a 2-connected G', which lies inside one block of G, and that block has
+    at least L vertices. If that block is bipartite with 2-coloring beta,
+    each tree coloring is beta or its complement, and every witness edge
+    joins two beta colors, so the negative pattern edges are the cut of
+    the trees colored like beta's complement: (H, sigma_h) is balanced.
+    Hence a smallest model's branch sets, pairwise adjacent when H is
+    complete, are all kept, and the pretest's "no" stays final. The kept
+    subsets are the old order filtered, and every model of size h, or of
+    the least size, is kept, so both passes meet the old first model of
+    least size at its place: the verdict and the model returned are those
+    of a search over every connected subset.
 
-    Answering size h before the table is built changes neither. A set of
-    two or more vertices leaves the rest of the pattern less than one vertex
-    each, so the size-h pass reads only one-vertex sets. The table lists
-    them first, by vertex, and keeps those of the eligible blocks: the list
-    the size-h pass reads here, so it meets the same first model. A size-h
-    model of a complete H is h pairwise adjacent vertices of one eligible
-    block, a K_h minor whose branch sets the table keeps, so the pretest
-    would have said yes to it: running the pretest after the size-h pass
-    fails, and not before it, leaves every verdict as it was. For h = 3 the
-    pretest does not run, as it could only say yes: every eligible block
-    has at least L >= 3 vertices, so it is 2-connected and holds a cycle, a
-    K_3 minor whose branch sets the table keeps. For h <= 2 a size-h pass
-    that fails leaves a host with no edge, whose table holds one-vertex
-    sets only.
+    The size-h pass (`_first_embedding`) returns the model the L pass at
+    L = h returns over the table. A set of two or more vertices leaves the
+    rest of the pattern less than one vertex each, so a model of size h is
+    one vertex v_i per pattern vertex i: distinct vertices with v_i v_j an
+    edge of G, its witness, for each pattern edge ij, and colors with c(v_i)
+    = c(v_j) exactly when ij is negative. Such colors exist iff only the
+    positive edges of H join two sides, `_sides(H, E(H) - sigma_h)`,
+    whatever the tuple: colors never change which tuple is feasible. So the
+    pass takes the first tuple in the search's order, which is
+    lexicographic: pattern vertex i takes the lowest vertex left among the
+    common neighbours of the vertices of i's earlier neighbours. For a
+    complete H that tuple is increasing (any reordering of a clique is
+    one), so the pass tries increasing tuples only, whatever sigma_h, as
+    the search does for a symmetric one. Only then does it
+    ask for the sides; None there means no model of size h. The search over
+    the table tries color 1 before color 2 at each vertex, and a coloring
+    of the first vertices that no later colors complete fails for every
+    tuple; so it too returns the first feasible tuple, with the lowest
+    pattern vertex of each component of H colored 1 and the others forced,
+    the colors `_sides` gives. At L = h every model of size h is a smallest
+    model, so it lies inside one eligible block (above): the pass may read
+    every vertex of G before the blocks are read, and meets the same first
+    model. A size-h model of a complete H is h pairwise adjacent vertices
+    of one eligible block, a K_h minor whose branch sets the table keeps,
+    so the pretest would have said yes to it: running the pretest after the
+    size-h pass fails, and not before it, leaves every verdict as it was.
+    For h = 3 the pretest does not run, as it could only say yes: every
+    eligible block has at least L >= 3 vertices, so it is 2-connected and
+    holds a cycle, a K_3 minor whose branch sets the table keeps. For
+    h <= 2 a size-h pass that fails leaves a host with no edge, whose table
+    holds one-vertex sets only.
     """
     check_size(G, limit, "find_signed_minor")
+    sigma_h = list(sigma_h)
+    # a bool is an int equal to 0 or 1, so True would be read as vertex 1
+    if any(type(u) is bool or type(v) is bool for u, v in sigma_h):
+        raise ValueError(f"signature {sigma_h} names a vertex by a bool")
     sigma = _edge_set(sigma_h)
     for e in sigma:
         if not H.has_edge(*e):
@@ -478,19 +538,59 @@ def find_signed_minor(
     if G.n < least:
         return None
     complete = H.m == h * (h - 1) // 2
+    # earlier[i]: the pattern vertices j < i with ji an edge, ascending
+    earlier: list[list[int]] = [[] for _ in range(h)]
+    for j, i in H.edges():
+        earlier[i].append(j)
+    best: list[tuple[int, int]] = []  # (mask, colormask) per pattern vertex
+    if least == h:
+        # the size-h pass: one vertex per branch set, over every vertex of G
+        vs = _first_embedding(G, earlier, complete)
+        side = None if vs is None else _sides(H, frozenset(H.edges()) - sigma)
+        if side is not None:
+            best = [(1 << v, s << v) for v, s in zip(vs, side)]
+    if not best:
+        best = _table_search(G, H, sigma, least, complete, earlier)
+    if not best:
+        return None
+
+    trees = {}
+    tree_edges = {}
+    tree_colorings = {}
+    for u, (mask, c) in enumerate(best):
+        vs = bits(mask)
+        trees[u] = tuple(vs)
+        tree = _disagreement_tree(G, mask, c)
+        tree_edges[u] = tuple(_norm_edge(v, w) for v, w in tree)
+        tree_colorings[u] = {v: 2 if (c >> v) & 1 else 1 for v in vs}
+    witness = {
+        (j, i): _mono_edge(G, *best[j], mask, c if (j, i) in sigma else mask & ~c)
+        for i, (mask, c) in enumerate(best) for j in earlier[i]
+    }
+    model = SignedMinorModel(trees, tree_edges, tree_colorings, witness)
+    ok, reason = verify_signed_minor_model(G, H, sigma, model)
+    assert ok, reason
+    return model
+
+
+def _table_search(
+    G: Graph, H: Graph, sigma: frozenset[Edge], least: int, complete: bool,
+    earlier: list[list[int]],
+) -> list[tuple[int, int]]:
+    """find_signed_minor's passes after the size-h pass: for a 2-connected H
+    the eligible blocks, then, when L > h, the L pass, and the
+    branch-and-bound pass over the subset table. Returns the first model of
+    least size, as (mask, colormask) per pattern vertex, or [] when there is
+    none. At L = h it runs only when there is no model of size h."""
+    h = H.n
+    symmetric = complete and len(sigma) in (0, H.m)
     eligible: Optional[list[int]] = None
-    inside = (1 << G.n) - 1  # the vertices of the eligible blocks
     if h >= 3 and (complete or [B for B, _ in blocks(H)] == [frozenset(range(h))]):
         eligible = _eligible_block_masks(G, least, _sides(H, sigma) is not None)
         if not eligible:
-            return None
-        inside = 0
-        for b in eligible:
-            inside |= b
-    symmetric = complete and len(sigma) in (0, H.m)
+            return []
     # links[i]: (j, negative) for each pattern edge ji with j < i
-    links = [[(j, (j, i) in sigma) for j in range(i) if H.has_edge(j, i)]
-             for i in range(h)]
+    links = [[(j, (j, i) in sigma) for j in js] for i, js in enumerate(earlier)]
     colorings: dict[int, list[int]] = {}
 
     # choice[i] = (mask, colormask); assign H vertices 0..h-1 in order.
@@ -541,18 +641,17 @@ def find_signed_minor(
             return sets
         return [(m, nb) for m, nb in sets if any(m & b == m for b in eligible)]
 
-    # the L pass, capped at L, then the branch-and-bound pass over every
-    # larger size: each is (most, cap, stop), with most the largest set the
-    # pass can read
+    # the L pass above size h, capped at L, then the branch-and-bound pass
+    # over every larger size: each is (most, cap, stop), with most the
+    # largest set the pass can read
+    passes = [(None, G.n, least + 1)]
+    if least > h:
+        passes.insert(0, (least - h + 1, least, least))
     full: Optional[list[tuple[int, int]]] = None  # the whole table, once built
-    for most, cap, stop in ((least - h + 1, least, least),
-                            (None, G.n, least + 1)):
+    for most, cap, stop in passes:
         if best or G.n < stop:
             break
-        if most == 1:
-            # the L pass at L = h reads only one-vertex sets: no table needed
-            conn = [(1 << v, G.adj_mask(v)) for v in bits(inside)]
-        elif full is None and complete and h >= 4:
+        if full is None and complete and h >= 4:
             # the pretest runs before any set of two or more vertices is
             # colored, and its "no" is final
             conn = full = table()
@@ -562,23 +661,4 @@ def find_signed_minor(
             conn = full if full is not None else table(most)
         rec(0, 0, 0)
     del rec  # as in has_clique_minor: the table and colorings are freed now
-    if not best:
-        return None
-
-    trees = {}
-    tree_edges = {}
-    tree_colorings = {}
-    for u, (mask, c) in enumerate(best):
-        vs = bits(mask)
-        trees[u] = tuple(vs)
-        tree = _disagreement_tree(G, mask, c)
-        tree_edges[u] = tuple(_norm_edge(v, w) for v, w in tree)
-        tree_colorings[u] = {v: 2 if (c >> v) & 1 else 1 for v in vs}
-    witness = {
-        (j, i): _mono_edge(G, *best[j], mask, c if neg else mask & ~c)
-        for i, (mask, c) in enumerate(best) for j, neg in links[i]
-    }
-    model = SignedMinorModel(trees, tree_edges, tree_colorings, witness)
-    ok, reason = verify_signed_minor_model(G, H, sigma, model)
-    assert ok, reason
-    return model
+    return best

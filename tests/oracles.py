@@ -198,6 +198,49 @@ def smallest_signed_minor_size(G: Graph, H: Graph, sigma):
     return best
 
 
+def first_one_vertex_model(G: Graph, H: Graph, sigma):
+    """The first model of (H, sigma) in (G, E(G)) with one vertex per branch
+    set, as a list of (vertex, color) per pattern vertex, or None.
+
+    Pattern vertices get (vertex, color) pairs in order, each tried by
+    increasing vertex and then color 1 before color 2, the first pattern
+    vertex color 1 only; when H is complete and sigma is empty or E(H),
+    vertices increase. A prefix is kept while its vertices are distinct and
+    every pattern edge among them joins adjacent vertices whose colors are
+    equal iff the edge is in sigma.
+    """
+    nx_G = nxg(G)
+    negative = {tuple(sorted(e)) for e in sigma}
+    hedges = [tuple(sorted(e)) for e in H.edges()]
+    increasing = H.m == H.n * (H.n - 1) // 2 and len(negative) in (0, H.m)
+
+    def fits(prefix) -> bool:
+        i = len(prefix) - 1
+        v, c = prefix[i]
+        if any(v == w for w, _ in prefix[:i]):
+            return False
+        if increasing and i and v < prefix[i - 1][0]:
+            return False
+        for a, b in hedges:
+            if b == i:
+                w, d = prefix[a]
+                if not nx_G.has_edge(w, v) or (c == d) != ((a, b) in negative):
+                    return False
+        return True
+
+    def extend(prefix):
+        if len(prefix) == H.n:
+            return prefix
+        for v, c in itertools.product(G.vertices(), (1, 2) if prefix else (1,)):
+            if fits(prefix + [(v, c)]):
+                found = extend(prefix + [(v, c)])
+                if found is not None:
+                    return found
+        return None
+
+    return extend([])
+
+
 def balanced_by_subsets(H: Graph, sigma) -> bool:
     """Whether (H, sigma) is balanced: whether sigma is the edge cut of some
     vertex set X, every one of the 2^n sets tried."""

@@ -62,6 +62,17 @@ def test_rejects_bad_edges():
         Graph(3, [(1, 1)])
 
 
+def test_rejects_a_bool_vertex_id():
+    # False and True equal 0 and 1, so the graph would equal Graph(3, [(0, 1)])
+    # and share its hash(), while graph_hash spells the edge "False-True"
+    with pytest.raises(GraphError, match="by a bool"):
+        Graph(3, [(False, True)])
+    with pytest.raises(GraphError, match="by a bool"):
+        Graph(3, [(0, True)])
+    with pytest.raises(GraphError, match="not a bool"):
+        Graph(True)
+
+
 @given(graphs())
 def test_graph6_round_trip_matches_networkx(G):
     s = to_graph6(G)

@@ -14,6 +14,7 @@ from oddminorkit import (
     Path,
     SignedGraph,
     SignedMinorModel,
+    certify_signed_minor_model,
     complete,
     complete_bipartite,
     cut_edges,
@@ -28,8 +29,10 @@ from oddminorkit import (
     verify_signed_minor_model,
 )
 from oddminorkit import signed
-from oddminorkit.graph import SizeLimitError, bits
-from oddminorkit.signed import _connected_subsets, _disagreement_tree, _valid_colorings
+from oddminorkit.graph import SizeLimitError, bits, blocks
+from oddminorkit.signed import (
+    _connected_subsets, _disagreement_tree, _valid_colorings, has_clique_minor,
+)
 
 import oracles
 
@@ -358,11 +361,86 @@ def _no_witness(*args):
 ], ids=["odd-K5-in-K20", "odd-K3-in-a-seeded-host", "signed-K3-in-K4"])
 def test_a_size_h_answer_builds_no_subset_table(monkeypatch, G, h, sigma, limit):
     # the size-h pass reads one-vertex sets only, so it runs before the table
-    # is built, and the model is the one the search returned with the table
+    # is built and before the blocks of G are read: every size-h model lies
+    # inside one eligible block, so reading every vertex of G meets the model
+    # the search over the eligible blocks' table returned
     want = find_signed_minor(G, complete(h), sigma, limit=limit)
     assert want is not None and all(len(vs) == 1 for vs in want.trees.values())
     monkeypatch.setattr(signed, "_connected_subsets", _no_subset_table)
+    monkeypatch.setattr(signed, "blocks", _no_blocks)
     assert find_signed_minor(G, complete(h), sigma, limit=limit) == want
+
+
+def _no_blocks(*args):
+    raise AssertionError("blocks read")
+
+
+def test_a_bipartite_host_is_absent_after_one_blocks_call(monkeypatch):
+    # K_{3,4} has no triangle, so the size-h pass finds no odd K_3 and colors
+    # nothing; its one block is bipartite, so no set is colored after it
+    calls = []
+
+    def counting(G, alive=None):
+        calls.append(G)
+        return blocks(G, alive)
+
+    def no_coloring(*args):
+        raise AssertionError("a set was colored")
+
+    monkeypatch.setattr(signed, "blocks", counting)
+    monkeypatch.setattr(signed, "_valid_colorings", no_coloring)
+    assert find_odd_clique_minor(complete_bipartite(3, 4), 3) is None
+    assert len(calls) == 1
+
+
+# one-vertex patterns: those of the search, and P_3 with its middle vertex
+# last, whose vertex 1 has no earlier neighbour
+ONE_VERTEX_PATTERNS = {name: PATTERNS[name] for name in ("K3", "K4", "C4", "K4-e", "P3")}
+ONE_VERTEX_PATTERNS["P3-middle-last"] = Graph(3, [(0, 2), (1, 2)])
+
+
+@st.composite
+def one_vertex_instances(draw):
+    n = draw(st.integers(1, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    G = Graph(n, [e for e in pairs if draw(st.booleans())])
+    name = draw(st.sampled_from(sorted(ONE_VERTEX_PATTERNS)))
+    H = ONE_VERTEX_PATTERNS[name]
+    sigma = [e for e in H.edges() if draw(st.booleans())]
+    return G, name, sigma
+
+
+# K_4 with the triangle 1 2 3 negative is not symmetric: vertex 0 alone gets
+# color 1; C_4 with one negative edge has an odd number of positive edges on
+# its cycle, so it has no size-h model
+@example((complete(6), "K4", [(1, 2), (1, 3), (2, 3)]))
+@example((complete(5), "C4", [(0, 1)]))
+@given(one_vertex_instances())
+def test_the_size_h_pass_returns_the_first_one_vertex_model(instance):
+    G, name, sigma = instance
+    H = ONE_VERTEX_PATTERNS[name]
+    want = oracles.first_one_vertex_model(G, H, sigma)
+    model = find_signed_minor(G, H, sigma)
+    if want is None:
+        assert model is None or sum(len(vs) for vs in model.trees.values()) > H.n
+    else:
+        assert model is not None
+        got = [(model.trees[i][0], model.tree_colorings[i][model.trees[i][0]])
+               for i in H.vertices()]
+        assert all(len(vs) == 1 for vs in model.trees.values()) and got == want
+
+
+@pytest.mark.parametrize("sigma", [[(True, 2)], [(0, 1), (2, False)]],
+                         ids=["true", "false"])
+def test_a_signature_vertex_is_never_a_bool(sigma):
+    # True equals 1, so it would be read as vertex 1; the certificate would
+    # then name a vertex by a bool, which its verifier refuses
+    K5, K3 = complete(5), complete(3)
+    with pytest.raises(ValueError, match="by a bool"):
+        find_signed_minor(K5, K3, sigma)
+    model = find_signed_minor(K5, K3, [(1, 2)])
+    with pytest.raises(ValueError, match="by a bool"):
+        certify_signed_minor_model(K5, K3, sigma, model)
 
 
 @pytest.mark.parametrize("G, h, sigma", [
@@ -427,17 +505,23 @@ def test_no_pretest_for_a_triangle(monkeypatch, G, size):
 
 
 def test_the_pretest_answers_odd_k4_before_a_larger_set_is_colored(monkeypatch):
-    # C_5 is one non-bipartite block with no K_4 minor: the size-h pass reads
-    # one-vertex sets, and the pretest's "no" comes before any larger set
-    colored = []
+    # C_5 is one non-bipartite block with no K_4 minor: the size-h pass
+    # finds no 4 pairwise adjacent vertices without coloring a set, and the
+    # pretest's "no" comes before any set is colored
+    colored, pretests = [], []
 
     def recording(G, mask):
         colored.append(mask)
         return _valid_colorings(G, mask)
 
+    def pretest(G, t, conn=None):
+        pretests.append(has_clique_minor(G, t, conn))
+        return pretests[-1]
+
     monkeypatch.setattr(signed, "_valid_colorings", recording)
+    monkeypatch.setattr(signed, "has_clique_minor", pretest)
     assert find_odd_clique_minor(cycle(5), 4) is None
-    assert colored and all(m.bit_count() == 1 for m in colored)
+    assert pretests == [False] and colored == []
 
 
 def test_all_positive_k7_in_k10_is_absent_without_a_table(monkeypatch):
