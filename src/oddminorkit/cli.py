@@ -254,17 +254,16 @@ def detect(graph: str, fmt: str, mode: str, t: int, s: Optional[int],
     3. if it finds none, or when L > t, for t >= 3 the blocks of the host:
        one with fewer than L vertices, or a bipartite one for an unbalanced
        pattern, cannot hold a smallest model, and a host with no other
-       block is absent;
+       block is absent; beside it, for t >= 4, a host with no unsigned K_t
+       minor is absent, tested on its series-parallel core: with no subset
+       table at t = 4 (odd K_4 on a 14-vertex fan takes a fraction of a
+       second) and with its own, which no later step reads, at t >= 5;
     4. when L > t, the L pass, which caps a model's size at L, reads the
        connected subsets of the kept blocks with at most L - t + 1
        vertices, and answers with its first model;
     5. if no model of size L was found, the connected-subset table of the
        kept blocks and one branch-and-bound pass that stops at its first
        model of the least size still possible, L + 1.
-
-    For t >= 4 the unsigned K_t minor test runs on the whole table before
-    any set of two or more vertices is colored (before step 5 when L = t,
-    before step 4 when L > t), and its "no" is final.
 
     Prints a certificate (exit 2) or "absent" (exit 0).
     """

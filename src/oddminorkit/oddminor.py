@@ -110,11 +110,13 @@ def find_odd_clique_minor(
     it reads the blocks of G or builds any subset table. When there are
     none, for t >= 3 it answers at once when no block of G has at least t
     vertices and an odd cycle (so a bipartite host is absent before any
-    subset is built). Otherwise an unsigned K_t minor test runs for t >= 4,
-    whose "no" is final (at t = 3 every such block holds a cycle, so it
-    could only say yes), and then the search over larger branch sets of
-    those blocks. Branch sets are taken in increasing minimum vertex and by
-    increasing total size, so the first hit is a smallest witness. The
+    subset is built). Otherwise, for t >= 4, the unsigned K_t minor test
+    `has_clique_minor` runs on the core of G, with no table at t = 4 and
+    its own at t >= 5, and its "no" is final (at t = 3 every such block
+    holds a cycle, so it could only say yes); then the search over larger
+    branch sets of those blocks. Branch sets are taken in increasing
+    minimum vertex and by increasing total size, so the first hit is a
+    smallest witness. The
     renaming keeps the model valid: alpha is the union of the tree
     colorings, proper on each tree, and the connectors are the edge
     witnesses, monochromatic.

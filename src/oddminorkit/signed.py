@@ -11,6 +11,11 @@ Edge = tuple[int, int]
 
 
 def _edge_set(edges: Iterable[Edge]) -> frozenset[Edge]:
+    """The edges, normalised, as a set; ValueError when one names a vertex
+    by a bool, an int equal to 0 or 1 that would be read as that vertex."""
+    edges = list(edges)
+    if any(type(u) is bool or type(v) is bool for u, v in edges):
+        raise ValueError(f"signature {edges} names a vertex by a bool")
     return frozenset(_norm_edge(u, v) for u, v in edges)
 
 
@@ -165,7 +170,10 @@ def verify_signed_minor_model(
     G: Graph, H: Graph, sigma_h: Iterable[Edge], model: SignedMinorModel
 ) -> tuple[bool, str]:
     """Check all conditions; returns (ok, reason)."""
-    sigma = _edge_set(sigma_h)
+    try:
+        sigma = _edge_set(sigma_h)
+    except ValueError:
+        return False, "signature-bool-vertex"
     for e in sigma:
         if not H.has_edge(*e):
             return False, "signature-not-in-H"
@@ -359,20 +367,58 @@ def _meets(tris: list[int], cover: int, k: int) -> bool:
     return True
 
 
-def has_clique_minor(
-    G: Graph, t: int, conn: Optional[list[tuple[int, int]]] = None
-) -> bool:
-    """Unsigned K_t minor test: t disjoint, pairwise adjacent connected
-    subsets, taken in increasing minimum vertex. conn, when given, is the
-    (mask, neighbourhood) pair list of _connected_subsets(G), or the part of
-    it that find_signed_minor keeps: the test then asks for a K_t minor
-    whose branch sets are all in conn."""
+def _core(G: Graph) -> Graph:
+    """The series-parallel core of G, renumbered in vertex order: while one
+    exists, a vertex of degree at most 1 is deleted, or one of degree 2 is
+    replaced by an edge joining its two neighbours (a parallel edge merges).
+    What is left is empty or has minimum degree at least 3.
+
+    For t >= 4 the core has a K_t minor iff G has one. Each step leaves a
+    minor of G, G - v or G / vu for a neighbour u of the degree-2 vertex v,
+    so a model in the core is one in G. Back, take a K_t model in G: a
+    one-vertex branch set needs t - 1 >= 3 neighbours, so either v is in a
+    larger branch set, with a neighbour u in it, and contracting vu keeps
+    the model, or v is in no branch set, and deleting it keeps the model.
+    Both G / vu and G - v are subgraphs of the step's result. So the core
+    has no edge iff G has no K_4 minor (Dirac 1952; Duffin 1965): a graph
+    of minimum degree 3 has one."""
+    adj = list(map(G.adj_mask, range(G.n)))
+    alive = todo = (1 << G.n) - 1
+    while todo:
+        b = todo & -todo
+        todo ^= b
+        nb = adj[b.bit_length() - 1]
+        if nb.bit_count() > 2:
+            continue
+        alive ^= b
+        ends = bits(nb)
+        for w in ends:
+            adj[w] &= ~b
+        if len(ends) == 2:
+            u, w = ends
+            adj[u] |= 1 << w
+            adj[w] |= 1 << u
+        todo |= nb
+    keep = bits(alive)
+    new = {v: i for i, v in enumerate(keep)}
+    return Graph(len(keep), [(new[v], new[w]) for v in keep for w in bits(adj[v]) if v < w])
+
+
+def has_clique_minor(G: Graph, t: int) -> bool:
+    """Unsigned K_t minor test. For t >= 4 it reads only the core of G
+    (`_core`): at t = 4 the answer is whether the core has an edge, and at
+    t >= 5 it searches the core for t disjoint, pairwise adjacent connected
+    subsets, taken in increasing minimum vertex, over its own subset table.
+    It shares no table with find_signed_minor."""
     if t <= 0:
         return True
+    if t >= 4:
+        G = _core(G)
+        if t == 4:
+            return G.m > 0
     if G.n < t:
         return False
-    if conn is None:
-        conn = _connected_subsets(G)
+    conn = _connected_subsets(G)
 
     parts: list[int] = []
 
@@ -414,21 +460,18 @@ def find_signed_minor(
     L = h, the size-h pass (below), a bitmask search over every vertex of G
     that answers with its first model and builds no table; and only when it
     finds none, or at L > h: for a 2-connected H, the eligible blocks of G
-    (below), with None as the answer when there are none; at L > h the L
-    pass, which caps the total size at L and so reads the table cut at
-    L - h + 1 vertices, and answers with its first model; and only if no
-    model of size L was found, the branch-and-bound pass over the table of
+    (below), with None as the answer when there are none or, for a
+    complete H with h >= 4, when G has no K_h minor (the pretest, below);
+    at L > h the L pass, which caps the total size at L and so reads the
+    table cut at L - h + 1 vertices, and answers with its first model; and
+    only if no model of size L was found, the branch-and-bound pass over the table of
     every connected subset (`_connected_subsets`, kept to the eligible
     blocks), which at each model it meets records the model and lowers its
     cap on the total size to one less, and stops at a model of size L + 1,
     the least still possible. It is skipped when G has no more than L
-    vertices. When H is complete and h >= 4, the unsigned K_h minor test
-    runs on the whole table before any set of two or more vertices is
-    colored (so after the size-h pass, or before an L pass with L > h,
-    which then reads that table's prefix), and its "no" is final. When H is
-    complete and sigma_h is empty or E(H), every reordering of a model's
-    branch sets is a model, so they are taken in increasing minimum vertex.
-    An odd K_t minor is the case (K_t, E(K_t)).
+    vertices. When H is complete and sigma_h is empty or E(H), every
+    reordering of a model's branch sets is a model, so they are taken in
+    increasing minimum vertex. An odd K_t minor is the case (K_t, E(K_t)).
 
     Both passes visit the models in one fixed order, and the cap only skips
     models larger than it. Let M be the first model of the least size s.
@@ -481,12 +524,18 @@ def find_signed_minor(
     each tree coloring is beta or its complement, and every witness edge
     joins two beta colors, so the negative pattern edges are the cut of
     the trees colored like beta's complement: (H, sigma_h) is balanced.
-    Hence a smallest model's branch sets, pairwise adjacent when H is
-    complete, are all kept, and the pretest's "no" stays final. The kept
-    subsets are the old order filtered, and every model of size h, or of
-    the least size, is kept, so both passes meet the old first model of
-    least size at its place: the verdict and the model returned are those
-    of a search over every connected subset.
+    Hence a smallest model's branch sets are all kept. The kept subsets are
+    the old order filtered, and every model of size h, or of the least
+    size, is kept, so both passes meet the old first model of least size at
+    its place: the verdict and the model returned are those of a search
+    over every connected subset.
+
+    The pretest, for a complete H with h >= 4, is `has_clique_minor(G, h)`
+    on the whole of G, beside the block rule and before any table: a model
+    of a complete H is a K_h minor of G, so its "no" is final. It reads the
+    core of G (`_core`), builds no table at h = 4 and its own at h >= 5,
+    and shares none with the passes. At h = 3 it could only say yes (every
+    eligible block has L >= 3 vertices, so it holds a cycle): it never runs.
 
     The size-h pass (`_first_embedding`) returns the model the L pass at
     L = h returns over the table. A set of two or more vertices leaves the
@@ -510,21 +559,13 @@ def find_signed_minor(
     the colors `_sides` gives. At L = h every model of size h is a smallest
     model, so it lies inside one eligible block (above): the pass may read
     every vertex of G before the blocks are read, and meets the same first
-    model. A size-h model of a complete H is h pairwise adjacent vertices
-    of one eligible block, a K_h minor whose branch sets the table keeps,
-    so the pretest would have said yes to it: running the pretest after the
-    size-h pass fails, and not before it, leaves every verdict as it was.
-    For h = 3 the pretest does not run, as it could only say yes: every
-    eligible block has at least L >= 3 vertices, so it is 2-connected and
-    holds a cycle, a K_3 minor whose branch sets the table keeps. For
-    h <= 2 a size-h pass that fails leaves a host with no edge, whose table
-    holds one-vertex sets only.
+    model. A size-h model of a complete H is h pairwise adjacent vertices,
+    a K_h minor, so the pretest would have said yes to it: running the
+    pretest after the size-h pass fails, and not before it, leaves every
+    verdict as it was. For h <= 2 a size-h pass that fails leaves a host
+    with no edge, whose table holds one-vertex sets only.
     """
     check_size(G, limit, "find_signed_minor")
-    sigma_h = list(sigma_h)
-    # a bool is an int equal to 0 or 1, so True would be read as vertex 1
-    if any(type(u) is bool or type(v) is bool for u, v in sigma_h):
-        raise ValueError(f"signature {sigma_h} names a vertex by a bool")
     sigma = _edge_set(sigma_h)
     for e in sigma:
         if not H.has_edge(*e):
@@ -578,16 +619,17 @@ def _table_search(
     earlier: list[list[int]],
 ) -> list[tuple[int, int]]:
     """find_signed_minor's passes after the size-h pass: for a 2-connected H
-    the eligible blocks, then, when L > h, the L pass, and the
-    branch-and-bound pass over the subset table. Returns the first model of
-    least size, as (mask, colormask) per pattern vertex, or [] when there is
-    none. At L = h it runs only when there is no model of size h."""
+    the block rule and, for a complete H with h >= 4, the pretest beside it;
+    then, when L > h, the L pass, and the branch-and-bound pass, each over
+    its own cut of the subset table. Returns the first model of least size,
+    as (mask, colormask) per pattern vertex, or [] when there is none. At
+    L = h it runs only when there is no model of size h."""
     h = H.n
     symmetric = complete and len(sigma) in (0, H.m)
     eligible: Optional[list[int]] = None
     if h >= 3 and (complete or [B for B, _ in blocks(H)] == [frozenset(range(h))]):
         eligible = _eligible_block_masks(G, least, _sides(H, sigma) is not None)
-        if not eligible:
+        if not eligible or complete and h >= 4 and not has_clique_minor(G, h):
             return []
     # links[i]: (j, negative) for each pattern edge ji with j < i
     links = [[(j, (j, i) in sigma) for j in js] for i, js in enumerate(earlier)]
@@ -647,18 +689,10 @@ def _table_search(
     passes = [(None, G.n, least + 1)]
     if least > h:
         passes.insert(0, (least - h + 1, least, least))
-    full: Optional[list[tuple[int, int]]] = None  # the whole table, once built
     for most, cap, stop in passes:
         if best or G.n < stop:
             break
-        if full is None and complete and h >= 4:
-            # the pretest runs before any set of two or more vertices is
-            # colored, and its "no" is final
-            conn = full = table()
-            if not has_clique_minor(G, h, full):
-                break
-        else:
-            conn = full if full is not None else table(most)
+        conn = table(most)
         rec(0, 0, 0)
     del rec  # as in has_clique_minor: the table and colorings are freed now
     return best

@@ -241,6 +241,30 @@ def first_one_vertex_model(G: Graph, H: Graph, sigma):
     return extend([])
 
 
+def has_clique_minor_by_partition(G: Graph, t: int) -> bool:
+    """Whether G, of at most 8 vertices, has a K_t minor: whether some
+    labelling of its vertices by 0 (in no branch set) or 1..t (a branch
+    set), labels 1..t first used in that order, gives t connected, pairwise
+    adjacent branch sets. Connectivity is networkx's."""
+    assert G.n <= 8, "every labelling is tried"
+    nx_G = nxg(G)
+
+    def is_model(labels) -> bool:
+        sets = [[v for v, x in enumerate(labels) if x == i] for i in range(1, t + 1)]
+        return (all(any(nx_G.has_edge(a, b) for a in A for b in B)
+                    for A, B in itertools.combinations(sets, 2))
+                and all(nx.is_connected(nx_G.subgraph(S)) for S in sets))
+
+    def extend(labels, top) -> bool:
+        if t - top > G.n - len(labels):
+            return False  # too few vertices left for the unused labels
+        if len(labels) == G.n:
+            return is_model(labels)
+        return any(extend(labels + [x], max(top, x)) for x in range(min(top + 1, t) + 1))
+
+    return extend([], 0)
+
+
 def balanced_by_subsets(H: Graph, sigma) -> bool:
     """Whether (H, sigma) is balanced: whether sigma is the edge cut of some
     vertex set X, every one of the 2^n sets tried."""

@@ -1,9 +1,10 @@
 """Odd-minor models: parity predicate, verifier, exhaustive detector."""
 
 import itertools
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from oddminorkit import (
     Graph,
@@ -22,6 +23,7 @@ from oddminorkit import (
 )
 from oddminorkit import oddminor
 from oddminorkit.graph import SizeLimitError
+from oddminorkit.signed import _core
 
 import oracles
 
@@ -97,6 +99,70 @@ def test_clique_minor_knowns():
     # by edge counting (15 cross pairs + 4 tree edges > 15 edges)
     assert has_clique_minor(petersen, 5)
     assert not has_clique_minor(petersen, 6)
+
+
+def fan(n):
+    """Vertex 0 joined to the path 1, 2, .., n - 1."""
+    return Graph(n, [(0, i) for i in range(1, n)] + [(i, i + 1) for i in range(1, n - 1)])
+
+
+def wheel(k):
+    """A hub, vertex 0, joined to the k-cycle 1, 2, .., k."""
+    return Graph(k + 1, list(fan(k + 1).edges()) + [(1, k)])
+
+
+OCTAHEDRON = Graph(6, [e for e in itertools.combinations(range(6), 2) if e not in
+                       ((0, 1), (2, 3), (4, 5))])
+# K_4 on 0..3 with the edges at vertex 0 and the edge 12 subdivided once,
+# by 4..7
+SUBDIVIDED_K4 = Graph(8, [(0, 4), (4, 1), (0, 5), (5, 2), (0, 6), (6, 3), (1, 7), (7, 2),
+                          (1, 3), (2, 3)])
+
+
+@st.composite
+def graphs_of_at_most_8_vertices(draw):
+    n = draw(st.integers(0, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    return Graph(n, [e for e in pairs if draw(st.booleans())])
+
+
+@given(graphs_of_at_most_8_vertices(), st.sampled_from([4, 5]))
+@example(fan(8), 4)
+@example(fan(8), 5)
+@example(wheel(7), 4)
+@example(wheel(7), 5)
+@example(complete_bipartite(3, 3), 4)
+@example(complete_bipartite(3, 3), 5)
+@example(OCTAHEDRON, 4)
+@example(OCTAHEDRON, 5)
+@example(SUBDIVIDED_K4, 4)
+@example(SUBDIVIDED_K4, 5)
+def test_clique_minor_against_every_labelling(G, t):
+    # at t = 4 the core decides alone; at t = 5 the table search runs on it
+    assert has_clique_minor(G, t) == oracles.has_clique_minor_by_partition(G, t)
+
+
+def _random_tree(n, seed):
+    rng = random.Random(seed)
+    return Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+@pytest.mark.parametrize("G", [
+    Graph(0), Graph(1), _random_tree(2, 0), _random_tree(9, 1), _random_tree(14, 2),
+    cycle(3), cycle(9), fan(4), fan(14), complete_bipartite(2, 1), complete_bipartite(2, 7),
+    SUBDIVIDED_K4.without_edges([(0, 4)]),
+], ids=["empty", "K1", "K2", "tree9", "tree14", "C3", "C9", "F4", "F14", "K21", "K27",
+        "subdivided-K4-less-an-edge"])
+def test_a_graph_with_no_k4_minor_has_an_empty_core(G):
+    assert _core(G).m == 0
+
+
+@given(graphs_of_at_most_8_vertices())
+@example(wheel(7))
+@example(SUBDIVIDED_K4)
+def test_the_core_is_empty_or_of_minimum_degree_three(G):
+    core = _core(G)
+    assert core.n == 0 or min(map(core.degree, core.vertices())) >= 3
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from oddminorkit import (
 from oddminorkit import signed
 from oddminorkit.graph import SizeLimitError, bits, blocks
 from oddminorkit.signed import (
-    _connected_subsets, _disagreement_tree, _valid_colorings, has_clique_minor,
+    _connected_subsets, _disagreement_tree, _valid_colorings,
 )
 
 import oracles
@@ -345,7 +345,7 @@ def test_the_deciding_pass_searches_the_eligible_blocks_only(monkeypatch, graph6
         assert larger and all(set(bits(m)) <= set(block) for m in larger)
 
 
-def _no_subset_table(G):
+def _no_subset_table(*args):
     raise AssertionError("subset table built")
 
 
@@ -441,6 +441,13 @@ def test_a_signature_vertex_is_never_a_bool(sigma):
     model = find_signed_minor(K5, K3, [(1, 2)])
     with pytest.raises(ValueError, match="by a bool"):
         certify_signed_minor_model(K5, K3, sigma, model)
+    assert verify_signed_minor_model(K5, K3, sigma, model) == (False, "signature-bool-vertex")
+    # a signed graph with (True, 2) was built, and re-signing it at 0 gave
+    # {(0, 1), (0, 2), (True, 2)}
+    with pytest.raises(ValueError, match="by a bool"):
+        resign(SignedGraph(complete(3), frozenset(sigma)), [0])
+    with pytest.raises(ValueError, match="by a bool"):
+        signatures_equivalent(SignedGraph(complete(3), frozenset()), sigma)
 
 
 @pytest.mark.parametrize("G, h, sigma", [
@@ -504,24 +511,19 @@ def test_no_pretest_for_a_triangle(monkeypatch, G, size):
     assert sum(len(vs) for vs in model.trees.values()) == size
 
 
+# vertex 0 joined to the path 1, 2, .., 13
+FAN14 = Graph(14, [(0, i) for i in range(1, 14)] + [(i, i + 1) for i in range(1, 13)])
+
+
 def test_the_pretest_answers_odd_k4_before_a_larger_set_is_colored(monkeypatch):
-    # C_5 is one non-bipartite block with no K_4 minor: the size-h pass
-    # finds no 4 pairwise adjacent vertices without coloring a set, and the
-    # pretest's "no" comes before any set is colored
-    colored, pretests = [], []
-
-    def recording(G, mask):
-        colored.append(mask)
-        return _valid_colorings(G, mask)
-
-    def pretest(G, t, conn=None):
-        pretests.append(has_clique_minor(G, t, conn))
-        return pretests[-1]
-
-    monkeypatch.setattr(signed, "_valid_colorings", recording)
-    monkeypatch.setattr(signed, "has_clique_minor", pretest)
-    assert find_odd_clique_minor(cycle(5), 4) is None
-    assert pretests == [False] and colored == []
+    # each host is one non-bipartite block with no K_4 minor, so its core is
+    # empty: odd K_4 (after a size-h pass that builds no table) and signed
+    # K_4 with sigma = {01} (L = 5) are absent before any subset table is
+    # built; the fan's table took about 50 s
+    monkeypatch.setattr(signed, "_connected_subsets", _no_subset_table)
+    for G in (cycle(5), FAN14):
+        assert find_odd_clique_minor(G, 4) is None
+        assert find_signed_minor(G, complete(4), [(0, 1)]) is None
 
 
 def test_all_positive_k7_in_k10_is_absent_without_a_table(monkeypatch):
