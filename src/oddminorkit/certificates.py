@@ -171,9 +171,7 @@ def certify_signed_minor_model(
     return Certificate("signed-minor-model", payload, graph_hash(G))
 
 
-def certify_subdivision(
-    G: Graph, emb: SubdivisionEmbedding, bipartite: bool = True
-) -> Certificate:
+def certify_subdivision(G: Graph, emb: SubdivisionEmbedding) -> Certificate:
     payload = {
         "s": emb.s,
         "t": emb.t,
@@ -182,7 +180,7 @@ def certify_subdivision(
             {"edge": [u, v], "path": list(emb.linking[(u, v)].vertices)}
             for u, v in sorted(emb.linking)
         ],
-        "bipartite": bipartite,
+        "bipartite": emb.host_coloring is not None,
     }
     return Certificate("subdivision", payload, graph_hash(G))
 

@@ -187,11 +187,9 @@ def gen(family: str, params: tuple[str, ...], seed: int, fmt: str, out: Optional
         G = cycle(*nums)
     elif family == "random":
         G = random_graph(*nums, seed)
-    elif family == "join_subdivision":
-        G, emb = join_subdivision(*nums)
-        cert = certs.certify_subdivision(G, emb, bipartite=nums[2] % 2 == 1)
     else:
-        G, emb, _ = chorded_subdivision(*nums, seed)
+        G, emb = (join_subdivision(*nums) if family == "join_subdivision"
+                  else chorded_subdivision(*nums, seed)[:2])
         cert = certs.certify_subdivision(G, emb)
     _write(_WRITERS[fmt](G), out)
     if cert is not None:

@@ -259,8 +259,6 @@ def parity_breaking_dichotomy(
     ok, reason = verify_subdivision(G, emb, require_bipartite=True)
     if not ok:
         raise ValueError(f"invalid embedding: {reason}")
-    beta = emb.host_coloring(G.n)
-    assert beta is not None
-    ones = [c for c in emb.C if beta(c) == 1]
+    ones = [c for c in emb.C if emb.host_coloring(c) == 1]
     return _dichotomy(G, _PathEngine(G, emb.C, ones), l, limit,
                       "parity_breaking_dichotomy")

@@ -104,11 +104,9 @@ def chorded_subdivision(
             chords.append(Path((a, n, n + 1, b)))
             n += 2
     G = Graph(n, edges)
-    beta = emb.host_coloring(G.n)
-    assert beta is not None
-    for p in chords:
-        assert p.is_path_of(G)
-        assert is_parity_breaking(p, beta)
     ok, reason = verify_subdivision(G, emb, require_bipartite=True)
     assert ok, reason
+    for p in chords:
+        assert p.is_path_of(G)
+        assert is_parity_breaking(p, emb.host_coloring)
     return G, emb, tuple(chords)

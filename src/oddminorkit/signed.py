@@ -19,6 +19,16 @@ def _edge_set(edges: Iterable[Edge]) -> frozenset[Edge]:
     return frozenset(_norm_edge(u, v) for u, v in edges)
 
 
+def _vertex_set(X: Iterable[int]) -> set[int]:
+    """X as a set; ValueError on a bool, which would be read as vertex 0 or 1."""
+    Xs: set[int] = set()
+    for v in X:
+        if type(v) is bool:
+            raise ValueError(f"vertex set names a vertex by a bool: {v}")
+        Xs.add(v)
+    return Xs
+
+
 @dataclass(frozen=True)
 class SignedGraph:
     """A graph with a signature: the set of negative edges."""
@@ -39,13 +49,13 @@ class SignedGraph:
 
 def cut_edges(G: Graph, X: Iterable[int]) -> frozenset[Edge]:
     """The edge cut delta(X): edges with exactly one end in X."""
-    Xs = set(X)
+    Xs = _vertex_set(X)
     return frozenset(e for e in G.edges() if (e[0] in Xs) != (e[1] in Xs))
 
 
 def resign(SG: SignedGraph, X: Iterable[int]) -> SignedGraph:
     """Replace the signature by its symmetric difference with the cut of X."""
-    Xs = set(X)
+    Xs = _vertex_set(X)
     for v in Xs:
         if not 0 <= v < SG.graph.n:
             raise ValueError(f"unknown vertex id {v}")

@@ -123,8 +123,7 @@ def build_odd_clique_model(
     given = [_canonical(p) for p in paths]
     if len(given) != t - 1:
         raise ValueError(f"need exactly {t - 1} paths")
-    beta = emb.host_coloring(G.n)
-    assert beta is not None
+    beta = emb.host_coloring  # not None: emb was just verified bipartite
     C = emb.C
     used_check: set[int] = set()
     for p in given:

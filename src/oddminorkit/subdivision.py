@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -42,32 +43,33 @@ class SubdivisionEmbedding:
         return frozenset(self.branch[i] for i in range(self.s))
 
     def union_vertices(self) -> frozenset[int]:
-        out = set(self.branch.values())
-        for p in self.linking.values():
-            out.update(p.vertices)
-        return frozenset(out)
+        return frozenset(self.branch.values()).union(
+            *(p.vertices for p in self.linking.values()))
 
     def union_edges(self) -> frozenset[Edge]:
-        out: set[Edge] = set()
-        for p in self.linking.values():
-            out |= p.edge_set()
-        return frozenset(out)
-
-    def union_graph(self, n: int) -> Graph:
-        return Graph(n, self.union_edges())
+        return frozenset().union(*(p.edge_set() for p in self.linking.values()))
 
     def linking_path(self, u: int, v: int) -> Path:
         return self.linking[_norm_edge(u, v)]
 
-    def host_coloring(self, n: int) -> Optional[TwoColoring]:
-        """The union's proper 2-coloring on its vertices, if bipartite."""
-        alive = sum(1 << v for v in self.union_vertices())
-        return bipartition(self.union_graph(n), alive)
+    @functools.cached_property
+    def host_coloring(self) -> Optional[TwoColoring]:
+        """The union's proper 2-coloring on its vertices, if bipartite; it
+        reads the linking paths alone, so it is computed once per embedding."""
+        vs = self.union_vertices()
+        union = Graph(max(vs, default=-1) + 1, self.union_edges())
+        return bipartition(union, sum(1 << v for v in vs))
 
 
 def verify_subdivision(
     G: Graph, emb: SubdivisionEmbedding, require_bipartite: bool
 ) -> tuple[bool, str]:
+    """(ok, reason) for emb as a K_s + I_t subdivision of G. In order: s, t
+    are counts; branch injects the pattern vertices into G; linking maps each
+    pattern edge to a path of G between its branch vertices, interiors
+    disjoint and off branch; if require_bipartite, the union is bipartite,
+    read from the cached host_coloring only after the range and path checks,
+    so a hostile embedding never sizes a Graph by an unchecked id."""
     s, t = emb.s, emb.t
     if s < 0 or t < 0:
         return False, "bad-pattern"
@@ -95,7 +97,7 @@ def verify_subdivision(
         if inner & interior:
             return False, "linking-not-disjoint"
         interior |= inner
-    if require_bipartite and bipartition(emb.union_graph(G.n)) is None:
+    if require_bipartite and emb.host_coloring is None:
         return False, "union-not-bipartite"
     return True, "ok"
 
@@ -237,16 +239,12 @@ def restrict_subdivision(
     Xs = set(X)
     inv = {g: p for p, g in emb.branch.items()}
     removed: set[int] = set()
-
-    def alive_edge(e: Edge) -> bool:
-        return e[0] not in removed and e[1] not in removed
-
     for x in sorted(Xs):
         if x in inv and inv[x] not in removed:
             removed.add(inv[x])
             continue
         for e, p in emb.linking.items():
-            if alive_edge(e) and x in p.vertices[1:-1]:
+            if removed.isdisjoint(e) and x in p.vertices[1:-1]:
                 u, v = e
                 if v >= emb.s:
                     removed.add(v)  # stable endpoint preferred
@@ -262,8 +260,6 @@ def restrict_subdivision(
         {old: len(new_clique) + i for i, old in enumerate(new_stable)}
     )
     branch = {relabel[p]: emb.branch[p] for p in relabel}
-    linking = {}
-    for (u, v), p in emb.linking.items():
-        if u in relabel and v in relabel:
-            linking[_norm_edge(relabel[u], relabel[v])] = p
+    linking = {_norm_edge(relabel[u], relabel[v]): p
+               for (u, v), p in emb.linking.items() if u in relabel and v in relabel}
     return SubdivisionEmbedding(len(new_clique), len(new_stable), branch, linking)

@@ -41,6 +41,23 @@ def bipartite_nx(G: Graph) -> bool:
     return nx.is_bipartite(nxg(G))
 
 
+def union_two_coloring(emb: SubdivisionEmbedding):
+    """The proper 2-coloring of the union of emb's branch vertices and linking
+    paths, each component's smallest vertex on color 1, or None when the
+    union has an odd cycle; the union is rebuilt in networkx from the paths."""
+    H = nx.Graph()
+    H.add_nodes_from(emb.branch.values())
+    for p in emb.linking.values():
+        nx.add_path(H, p.vertices)
+    if not nx.is_bipartite(H):
+        return None
+    color = {}
+    for comp in nx.connected_components(H):
+        dist = nx.single_source_shortest_path_length(H, min(comp))
+        color.update({v: 1 + d % 2 for v, d in dist.items()})
+    return TwoColoring(color)
+
+
 def all_simple_paths_between(G: Graph, a: int, b: int):
     yield from nx.all_simple_paths(nxg(G), a, b)
 

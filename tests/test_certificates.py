@@ -294,6 +294,26 @@ def test_subdivision_sizes_are_checked_before_use():
     assert peak < 10**6, f"a hostile s allocated {peak} bytes"
 
 
+@pytest.mark.parametrize("s, t, bipartite", [(1, 3, True), (3, 1, False)],
+                         ids=["subdivided-star", "odd-triangle"])
+def test_a_subdivision_certificate_derives_its_bipartite_flag(s, t, bipartite):
+    # two subdivision vertices per edge: a subdivided star is still a tree,
+    # while K_3's triangle becomes a 9-cycle
+    G, emb = join_subdivision(s, t, 2)
+    cert = certify_subdivision(G, emb)
+    assert cert.payload["bipartite"] is bipartite
+    assert verify_certificate(G, parse_certificate(roundtrip(G, cert))) == (True, "ok")
+
+
+def test_a_subdivision_certificate_that_claims_a_bipartite_odd_union_fails():
+    G, emb = join_subdivision(3, 1, 2)
+    doc = json.loads(serialize_certificate(certify_subdivision(G, emb)))
+    assert doc["payload"]["bipartite"] is False
+    doc["payload"]["bipartite"] = True
+    got = verify_certificate(G, parse_certificate(json.dumps(doc)))
+    assert got == (False, "union-not-bipartite")
+
+
 COVER_TEXT = ('{"schema":"odd-minor-kit/1","kind":"cover","graph_hash":"",'
               '"payload":{"S":[],"l":%s,"cover":[]}}')
 

@@ -163,7 +163,7 @@ def test_size_guard(monkeypatch):
 
 
 def all_parity_breaking_c_paths(G, emb):
-    beta = emb.host_coloring(G.n)
+    beta = emb.host_coloring
     C = sorted(emb.C)
     out = []
     for i in range(len(C)):
@@ -182,7 +182,7 @@ def test_parity_breaking_dichotomy_on_chorded_instances(seed):
     G, emb, chords = chorded_subdivision(2, 1, num_chords, seed)
     l = rng.randint(1, 2)
     res = parity_breaking_dichotomy(G, emb, l, limit=G.n)
-    beta = emb.host_coloring(G.n)
+    beta = emb.host_coloring
     if res.is_packing:
         assert len(res.packing) == l
         used: set = set()

@@ -55,7 +55,7 @@ def test_chorded_subdivision_contract(seed):
     G, emb, chords = chorded_subdivision(s, t, t - 1, seed)
     ok, reason = verify_subdivision(G, emb, require_bipartite=True)
     assert ok, reason
-    beta = emb.host_coloring(G.n)
+    beta = emb.host_coloring
     used: set = set()
     assert len(chords) == t - 1
     for p in chords:

@@ -124,6 +124,20 @@ def test_cut_edges_basic():
     assert cut_edges(G, set(G.vertices())) == frozenset()
 
 
+def test_a_vertex_set_refuses_a_bool():
+    # True and False equal 1 and 0: they were read as those vertices, so
+    # re-signing at [True] gave the cut of vertex 1
+    with pytest.raises(ValueError, match="by a bool"):
+        resign(SignedGraph(complete(3), frozenset()), [True])
+    with pytest.raises(ValueError, match="by a bool"):
+        cut_edges(complete(3), [False])
+    # also when the vertex it equals is listed first, and a set would keep
+    # only that one
+    with pytest.raises(ValueError, match="by a bool"):
+        cut_edges(complete(3), [1, True])
+    assert resign(SignedGraph(complete(3), frozenset()), [1]).signature == {(0, 1), (1, 2)}
+
+
 def test_is_balanced_validates_input():
     C3 = SignedGraph(K3, frozenset({(0, 1)}))
     assert not is_balanced(C3, Path((0, 1, 2)))

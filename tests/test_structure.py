@@ -23,6 +23,7 @@ from oddminorkit import (
     structure_theorem,
     verify_odd_minor_model,
 )
+from oddminorkit import subdivision
 
 import oracles
 
@@ -125,6 +126,23 @@ def test_structure_theorem_detects_embedding_itself():
     out = structure_theorem(G, 2, limit=G.n + 4 * G.m)
     ok, reason = verify_odd_minor_model(G, Kt(2), out)
     assert ok, reason
+
+
+@pytest.mark.parametrize("chords, kind", [(2, "odd-minor"), (1, "decomposition")])
+def test_structure_theorem_colors_its_union_once(monkeypatch, chords, kind):
+    # the search verifies its embedding, then the dichotomy and the odd K_t
+    # construction verify it again and read its coloring: one 2-coloring
+    G, _, _ = chorded_subdivision(4, 3, chords, 7)
+    calls = []
+
+    def spy(H, alive=None):
+        calls.append(alive)
+        return bipartition(H, alive)
+
+    monkeypatch.setattr(subdivision, "bipartition", spy)
+    out = structure_theorem(G, 3, limit=G.n)
+    assert isinstance(out, Decomposition) == (kind == "decomposition")
+    assert len(calls) == 1
 
 
 def test_structure_theorem_hypothesis_unmet():

@@ -9,6 +9,8 @@ from hypothesis import given, strategies as st
 
 from oddminorkit import (
     Graph,
+    SubdivisionEmbedding,
+    chorded_subdivision,
     complete_bipartite,
     find_bipartite_join_subdivision,
     join_pattern_edges,
@@ -168,6 +170,45 @@ def test_restrict_then_verify(seed):
     assert not red.union_vertices() & X
     ok, reason = verify_subdivision(G, red, require_bipartite=True)
     assert ok, reason
+
+
+@given(st.integers(0, 300))
+def test_host_coloring_matches_networkx(seed):
+    # per-edge counts 0-3 give bipartite and non-bipartite unions; restricting
+    # one may split it into several components
+    rng = random.Random(seed)
+    s, t = rng.randint(1, 4), rng.randint(0, 3)
+    counts = {tuple(sorted(e)): rng.randint(0, 3) for e in join_pattern_edges(s, t)}
+    _, joined = join_subdivision(s, t, counts)
+    _, chorded, _ = chorded_subdivision(s, t, rng.randint(0, (s + t) // 2), seed)
+    embs = [joined, chorded]
+    for emb in (joined, chorded):
+        union = sorted(emb.union_vertices())
+        X = rng.sample(union, min(len(union), rng.randint(0, 3)))
+        embs.append(restrict_subdivision(emb, X))
+    for emb in embs:
+        want = oracles.union_two_coloring(emb)
+        assert emb.host_coloring == want
+        # cached: the same object, not a second search
+        assert emb.host_coloring is emb.__dict__["host_coloring"]
+    assert chorded.host_coloring is not None
+
+
+def test_verify_rejects_a_union_with_an_odd_cycle():
+    # every linking path of K_3 + I_1 with 2 subdivision vertices has length
+    # 3, so the clique's triangle becomes a 9-cycle
+    G, emb = join_subdivision(3, 1, 2)
+    assert verify_subdivision(G, emb, require_bipartite=False) == (True, "ok")
+    assert verify_subdivision(G, emb, require_bipartite=True) == (False, "union-not-bipartite")
+
+
+def test_verify_reads_no_coloring_of_an_embedding_it_refuses():
+    # a branch id far out of range is refused before the union is 2-colored,
+    # so no Graph is sized by it
+    G, emb = join_subdivision(2, 1, 1)
+    bad = SubdivisionEmbedding(2, 1, {**emb.branch, 2: 10**9}, emb.linking)
+    assert verify_subdivision(G, bad, require_bipartite=True) == (False, "branch-out-of-range")
+    assert "host_coloring" not in bad.__dict__
 
 
 def test_restrict_with_empty_x_is_identity():
