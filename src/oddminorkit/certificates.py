@@ -128,7 +128,7 @@ def parse_certificate(text: str) -> Certificate:
 
 
 def _edges_out(edges: Iterable[tuple[int, int]]) -> list[list[int]]:
-    return [list(_norm_edge(u, v)) for u, v in sorted(_norm_edge(u, v) for u, v in edges)]
+    return [list(e) for e in sorted(_norm_edge(u, v) for u, v in edges)]
 
 
 def certify_odd_minor_model(G: Graph, H: Graph, model: OddMinorModel) -> Certificate:

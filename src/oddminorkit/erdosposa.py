@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .graph import Graph, Path, check_size
+from .graph import Graph, Path, bits, check_size
 from .subdivision import SubdivisionEmbedding, verify_subdivision
 
 DEFAULT_EP_LIMIT = 20
@@ -65,28 +65,22 @@ def _mask(vs: Iterable[int], n: int) -> int:
 
 
 class _PathEngine:
-    """Qualifying S-paths of G minus a removed-vertex mask `gone`.
+    """Qualifying S-paths of G minus a removed-vertex mask `gone`, odd_ends
+    the vertices of S labelled 1. Results are memoized per residual."""
 
-    odd_ends are the vertices of S labelled 1; internal vertices must lie in
-    `through` (default: anywhere). Results are memoized per residual.
-    """
-
-    def __init__(self, G: Graph, S: Iterable[int], odd_ends: Iterable[int] = (),
-                 through: Optional[Iterable[int]] = None):
+    def __init__(self, G: Graph, S: Iterable[int], odd_ends: Iterable[int] = ()):
         self.n = G.n
         self.adj = [G.adj_mask(v) for v in G.vertices()]
         self.live = sum(1 << v for v in G.vertices() if self.adj[v])  # not isolated
         self.S = _mask(S, G.n)
         self.ones = _mask(odd_ends, G.n) & self.S
-        self.through = (1 << G.n) - 1 if through is None else _mask(through, G.n)
         self._first: dict[int, Optional[Path]] = {}
         self._packed: dict[tuple[int, int], Optional[tuple[Path, ...]]] = {}
 
     def _reach(self, v: int, blocked: int, steps: int) -> tuple[int, int]:
         """(even, odd): vertices that walks of at most `steps` edges from v
-        reach with that length parity, avoiding blocked and continuing only
-        from `through` vertices."""
-        adj, through = self.adj, self.through
+        reach with that length parity, avoiding blocked."""
+        adj = self.adj
         even, odd, fe, fo = 1 << v, 0, 1 << v, 0
         while steps and (fe or fo):
             ne = no = 0
@@ -98,11 +92,10 @@ class _PathEngine:
                 low = fo & -fo
                 ne |= adj[low.bit_length() - 1]
                 fo ^= low
-            ne &= ~(blocked | even)
-            no &= ~(blocked | odd)
-            even |= ne
-            odd |= no
-            fe, fo = ne & through, no & through
+            fe = ne & ~(blocked | even)
+            fo = no & ~(blocked | odd)
+            even |= fe
+            odd |= fo
             steps -= 1
         return even, odd
 
@@ -113,7 +106,7 @@ class _PathEngine:
         lengthen the deepening."""
         alive = self.live & ~gone
         starts = []
-        for s in reversed(list(_bits(self.S & alive))):
+        for s in bits(self.S & alive):
             above = self.S & alive & ~((2 << s) - 1)
             same = above & (self.ones if self.ones >> s & 1 else ~self.ones)
             # same-label ends need odd length, other-label ends even length
@@ -125,7 +118,7 @@ class _PathEngine:
                 yield from self._paths_from(s, length, same if length & 1 else other, gone)
 
     def _paths_from(self, s: int, length: int, ends: int, gone: int) -> Iterator[Path]:
-        adj, through, walk = self.adj, self.through, [s]
+        adj, walk = self.adj, [s]
 
         def extend(v: int, used: int, rem: int) -> Iterator[Path]:
             if rem == 1:
@@ -135,7 +128,7 @@ class _PathEngine:
             even, odd = self._reach(v, used | gone, rem)
             if not (odd if rem & 1 else even) & ends & ~used:
                 return
-            for w in _bits(adj[v] & through & ~used & ~gone):
+            for w in _bits(adj[v] & ~used & ~gone):
                 walk.append(w)
                 yield from extend(w, used | 1 << w, rem - 1)
                 walk.pop()
@@ -225,14 +218,6 @@ def find_odd_s_path(
     dichotomy writes under a guard verifies under the same guard."""
     check_size(G, None, "find_odd_s_path", DEFAULT_EP_LIMIT)
     return _PathEngine(G, S).first(_mask(avoid, G.n))
-
-
-def labelled_s_paths(G: Graph, S: Iterable[int], odd_ends: Iterable[int] = (),
-                     through: Optional[Iterable[int]] = None) -> list[Path]:
-    """Every qualifying S-path (odd_ends labelled 1) whose internal vertices
-    lie in `through`, from its lower end, sorted by vertex sequence."""
-    eng = _PathEngine(G, S, odd_ends, through)
-    return sorted(eng.paths(0), key=lambda p: p.vertices)
 
 
 def odd_s_paths_dichotomy(

@@ -49,7 +49,11 @@ class SignedGraph:
 
 def cut_edges(G: Graph, X: Iterable[int]) -> frozenset[Edge]:
     """The edge cut delta(X): edges with exactly one end in X."""
-    Xs = _vertex_set(X)
+    return _cut(G, _vertex_set(X))
+
+
+def _cut(G: Graph, Xs: set[int]) -> frozenset[Edge]:
+    """delta(Xs) of a vertex set already checked by _vertex_set."""
     return frozenset(e for e in G.edges() if (e[0] in Xs) != (e[1] in Xs))
 
 
@@ -59,7 +63,7 @@ def resign(SG: SignedGraph, X: Iterable[int]) -> SignedGraph:
     for v in Xs:
         if not 0 <= v < SG.graph.n:
             raise ValueError(f"unknown vertex id {v}")
-    return SignedGraph(SG.graph, SG.signature ^ cut_edges(SG.graph, Xs))
+    return SignedGraph(SG.graph, SG.signature ^ _cut(SG.graph, Xs))
 
 
 def is_balanced(SG: SignedGraph, cycle: Path) -> bool:

@@ -9,9 +9,10 @@ from typing import Iterable, Optional, Union
 
 from .graph import Graph, Path, TwoColoring, bipartition, bits, blocks, complete
 from .oddminor import OddMinorModel, is_parity_breaking, verify_odd_minor_model
-from .erdosposa import labelled_s_paths, parity_breaking_dichotomy
+from .erdosposa import parity_breaking_dichotomy
 from .subdivision import (
     SubdivisionEmbedding,
+    _paths_between,
     find_bipartite_join_subdivision,
     restrict_subdivision,
     verify_subdivision,
@@ -41,6 +42,15 @@ class Decomposition:
 def _canonical(p: Path) -> Path:
     a, b = p.ends
     return p if a < b else Path(tuple(reversed(p.vertices)))
+
+
+def _breaking_c_paths(G: Graph, C: frozenset[int], beta: TwoColoring) -> list[Path]:
+    """Every a-b path, a < b in C, with |E(P)| + beta(a) + beta(b) odd and
+    its interior outside C, sorted by vertex sequence."""
+    cmask = sum(1 << c for c in C)
+    paths = [p for a, b in itertools.combinations(sorted(C), 2)
+             for p in _paths_between(G, a, b, cmask, (1 + beta(a) + beta(b)) % 2)]
+    return sorted(paths, key=lambda p: p.vertices)
 
 
 def _minimize_family(
@@ -141,9 +151,7 @@ def build_odd_clique_model(
     h_edges = emb.union_edges()
     # the minimizing family never routes through C internally (a shorter
     # subpath would improve it), so such paths are not candidates
-    ones = [c for c in C if beta(c) == 1]
-    cands = labelled_s_paths(G, C, ones, set(G.vertices()) - C)
-    family = _minimize_family(cands, t - 1, h_edges)
+    family = _minimize_family(_breaking_c_paths(G, C, beta), t - 1, h_edges)
     assert family is not None, "minimization lost a family the input exhibits"
 
     inv = {g: p for p, g in emb.branch.items()}

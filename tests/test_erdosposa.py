@@ -18,7 +18,7 @@ from oddminorkit import (
     odd_s_paths_dichotomy,
     parity_breaking_dichotomy,
 )
-from oddminorkit.erdosposa import labelled_s_paths
+from oddminorkit.erdosposa import _PathEngine
 from oddminorkit.graph import SizeLimitError
 
 import oracles
@@ -76,24 +76,22 @@ def test_dichotomy_both_branches_reverify(seed):
 
 @given(st.integers(0, 400))
 def test_labelled_engine_matches_brute_force(seed):
-    """Every path u...v (u < v in S) with |E| + lab(u) + lab(v) odd and
-    internal vertices in `through`, against networkx path enumeration."""
+    """Every path u...v (u < v in S) with |E| + lab(u) + lab(v) odd, its
+    internal vertices anywhere, against networkx path enumeration."""
     rng = random.Random(seed)
     n = rng.randint(2, 8)
     G = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
                   if rng.random() < 0.4])
     S = set(rng.sample(range(n), rng.randint(2, min(5, n))))
     ones = {v for v in S if rng.random() < 0.5}
-    through = None if rng.random() < 0.5 else set(rng.sample(range(n), rng.randint(0, n)))
     expected = sorted(
         tuple(p)
         for a, b in itertools.combinations(sorted(S), 2)
         for p in oracles.all_simple_paths_between(G, a, b)
         if (len(p) - 1 + (a in ones) + (b in ones)) % 2 == 1
-        and (through is None or set(p[1:-1]) <= through)
     )
-    got = labelled_s_paths(G, S, ones, through)
-    assert [p.vertices for p in got] == expected
+    got = sorted(p.vertices for p in _PathEngine(G, S, ones).paths(0))
+    assert got == expected
 
 
 @given(st.integers(0, 150))

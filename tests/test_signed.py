@@ -138,6 +138,22 @@ def test_a_vertex_set_refuses_a_bool():
     assert resign(SignedGraph(complete(3), frozenset()), [1]).signature == {(0, 1), (1, 2)}
 
 
+def test_resign_checks_its_vertex_set_once(monkeypatch):
+    # resign checks X, then takes the cut of the checked set without
+    # checking it again
+    calls = []
+    check = signed._vertex_set
+
+    def spy(X):
+        calls.append(X)
+        return check(X)
+
+    monkeypatch.setattr(signed, "_vertex_set", spy)
+    SG = resign(SignedGraph(complete(4), frozenset()), [0, 2])
+    assert SG.signature == {(0, 1), (0, 3), (1, 2), (2, 3)}
+    assert len(calls) == 1
+
+
 def test_is_balanced_validates_input():
     C3 = SignedGraph(K3, frozenset({(0, 1)}))
     assert not is_balanced(C3, Path((0, 1, 2)))

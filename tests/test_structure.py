@@ -1,6 +1,7 @@
 """Block-or-packing dichotomy, odd clique construction, structure theorem."""
 
 import gc
+import itertools
 import random
 import types
 
@@ -23,7 +24,8 @@ from oddminorkit import (
     structure_theorem,
     verify_odd_minor_model,
 )
-from oddminorkit import subdivision
+from oddminorkit import erdosposa, structure, subdivision
+from oddminorkit.graph import TwoColoring
 
 import oracles
 
@@ -39,6 +41,27 @@ def test_build_odd_clique_model_on_generated_instances(seed):
     model = build_odd_clique_model(G, emb, chords)
     ok, reason = verify_odd_minor_model(G, Kt(t), model)
     assert ok, reason
+
+
+@given(st.integers(0, 300))
+def test_breaking_c_paths_match_networkx(seed):
+    # the odd K_t's candidates: every path a...b (a < b in C) with its
+    # interior outside C and |E| + lab(a) + lab(b) odd, lab(c) = [beta(c) = 1]
+    rng = random.Random(seed)
+    n = rng.randint(2, 9)
+    G = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                  if rng.random() < 0.4])
+    C = frozenset(rng.sample(range(n), rng.randint(2, min(5, n))))
+    beta = TwoColoring({c: rng.choice((1, 2)) for c in C})
+    expected = sorted(
+        tuple(p)
+        for a, b in itertools.combinations(sorted(C), 2)
+        for p in oracles.all_simple_paths_between(G, a, b)
+        if not set(p[1:-1]) & C
+        and (len(p) - 1 + (beta(a) == 1) + (beta(b) == 1)) % 2 == 1
+    )
+    got = structure._breaking_c_paths(G, C, beta)
+    assert [p.vertices for p in got] == expected
 
 
 def test_build_rejects_bad_path_families():
@@ -145,6 +168,23 @@ def test_structure_theorem_colors_its_union_once(monkeypatch, chords, kind):
     assert len(calls) == 1
 
 
+def test_structure_theorem_builds_one_path_engine(monkeypatch):
+    # the packing runs on the path engine; the odd K_t's path family is
+    # re-chosen from the router's pair enumerator, not from a second engine
+    G, _, _ = chorded_subdivision(4, 3, 2, 7)
+    init = erdosposa._PathEngine.__init__
+    calls = []
+
+    def spy(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(erdosposa._PathEngine, "__init__", spy)
+    out = structure_theorem(G, 3, limit=G.n)
+    assert not isinstance(out, Decomposition)
+    assert len(calls) == 1
+
+
 def test_structure_theorem_hypothesis_unmet():
     C5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
     with pytest.raises(HypothesisUnmetError):
@@ -166,7 +206,8 @@ def test_search_closures_leave_no_reference_cycles():
     flags, before = gc.get_debug(), len(gc.garbage)
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        # routing, the packing's paths and the odd clique's path family
+        # routing and the odd clique's path family (both from the router's
+        # pair enumerator) and the packing's paths
         assert not isinstance(structure_theorem(G, 3, limit=G.n + 4 * G.m), Decomposition)
         odd_s_paths_dichotomy(H, range(0, 10, 2), 2)
         gc.collect()
