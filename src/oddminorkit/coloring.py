@@ -9,8 +9,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .graph import Graph, bipartition, bits, find_small_separation
-from .oddminor import OddMinorModel
+from .graph import Graph, bipartition, bits, check_size, small_separation
+from .oddminor import OddMinorModel, find_odd_clique_minor
 from .structure import Decomposition, structure_theorem
 from .subdivision import find_bipartite_join_subdivision
 
@@ -100,16 +100,29 @@ def verify_coloring(G: Graph, c: ColoringAssignment, mode: str, value: int) -> b
 
 def _degeneracy_order(G: Graph, alive: int) -> list[int]:
     """The vertices of the piece G[alive], each of least degree among those
-    left (ties to the lowest id) when it is removed."""
-    deg = {v: (G.adj_mask(v) & alive).bit_count() for v in bits(alive)}
+    left (ties to the lowest id) when it is removed: the lowest bit of the
+    lowest non-empty bucket, bucket[d] being the mask of degree-d vertices.
+    A removal lowers degrees by at most one, so the search restarts at d - 1."""
+    deg = [0] * G.n
+    bucket = [0] * (alive.bit_count() + 1)
+    for v in bits(alive):
+        deg[v] = d = (G.adj_mask(v) & alive).bit_count()
+        bucket[d] |= 1 << v
     order = []
-    while deg:
-        v = min(deg, key=lambda u: (deg[u], u))
+    d = 0
+    while alive:
+        while not bucket[d]:
+            d += 1
+        low = bucket[d] & -bucket[d]
+        bucket[d] ^= low
+        alive ^= low
+        v = low.bit_length() - 1
         order.append(v)
-        del deg[v]
-        alive &= ~(1 << v)
         for w in bits(G.adj_mask(v) & alive):
+            bucket[deg[w]] ^= 1 << w
             deg[w] -= 1
+            bucket[deg[w]] |= 1 << w
+        d = max(d - 1, 0)
     return order
 
 
@@ -221,8 +234,8 @@ def precolor_extend(
         raise ValueError("f must be defined exactly on Z")
     if any(not 1 <= c <= k for c in f.values()):
         raise ValueError("precolor outside the palette")
-    colors = _extend(G, (1 << G.n) - 1, Z, dict(f), t, d, base,
-                     trace if trace is not None else [])
+    colors = _extend(G, (1 << G.n) - 1, sum(1 << z for z in Z), dict(f), t, d,
+                     base, trace if trace is not None else [])
     _check_contract(G, Z, f, colors, k)
     return ColoringAssignment(colors, k)
 
@@ -234,50 +247,50 @@ def _fresh(f: dict[int, int], k: int) -> list[int]:
 
 
 def _extend(
-    G: Graph, alive: int, Z: frozenset[int], f: dict[int, int], t: int, d: int,
+    G: Graph, alive: int, Z: int, f: dict[int, int], t: int, d: int,
     base: BaseColorer, trace: list,
 ) -> dict[int, int]:
-    """Extend f on Z to the piece G[alive] (Z within alive). Every piece is an
-    induced subgraph of the one host G and keeps its vertex ids, so colorings,
-    embeddings and odd K_t models need no mapping back."""
+    """Extend f on the vertex mask Z to the piece G[alive] (Z within alive).
+    Every piece is an induced subgraph of the one host G and keeps its vertex
+    ids, so colorings, embeddings and odd K_t models need no mapping back.
+    Pieces, Z, each split's sides and the interface are vertex masks; a split
+    comes from `small_separation`, with no Separation or set built."""
     k = d + 4 * t - 7
     size = alive.bit_count()
 
     if size <= 4 * t - 7:
         trace.append(f"base:|V|={size}")
         g = dict(f)
-        g.update(zip((v for v in bits(alive) if v not in Z), _fresh(f, k)))
+        g.update(zip(bits(alive & ~Z), _fresh(f, k)))
         return g
 
-    zmask = sum(1 << z for z in Z)
-    zz = [(z, w) for z in sorted(Z) for w in bits(G.adj_mask(z) & zmask) if z < w]
+    zz = [(z, w) for z in bits(Z) for w in bits(G.adj_mask(z) & Z) if z < w]
     if zz:
         trace.append(f"stabilize:{len(zz)}")
         G = G.without_edges(zz)
 
-    sep = find_small_separation(G, Z, 2 * t - 3, alive)
+    sep = small_separation(G, Z, 2 * t - 3, alive)
     if sep is not None:
-        A, B = set(sep.A), set(sep.B)
-        if len((B - A) & Z) > len(Z) // 2:
+        A, B = sep
+        if (B & ~A & Z).bit_count() > Z.bit_count() // 2:
             A, B = B, A
-        trace.append(f"split:order={len(A & B)}")
-        g1 = _extend(G, sum(1 << v for v in A | Z), Z, f, t, d, base, trace)
+        trace.append(f"split:order={(A & B).bit_count()}")
+        g1 = _extend(G, A | Z, Z, f, t, d, base, trace)
         Zp = (A & B) | (B & Z)
-        assert len(Zp) <= 4 * t - 7
-        g2 = _extend(G, sum(1 << v for v in B), frozenset(Zp),
-                     {z: g1[z] for z in Zp}, t, d, base, trace)
-        for z in Zp:
+        assert Zp.bit_count() <= 4 * t - 7
+        g2 = _extend(G, B, Zp, {z: g1[z] for z in bits(Zp)}, t, d, base, trace)
+        for z in bits(Zp):
             assert g1[z] == g2[z], "split colorings disagree on the interface"
         g2.update(g1)
         return g2
 
     emb = find_bipartite_join_subdivision(
-        G.subgraph_on(bits(alive & ~zmask)), 2 * t - 2, t, limit=max(G.n, 30)
+        G.subgraph_on(bits(alive & ~Z)), 2 * t - 2, t, limit=max(G.n, 30)
     )
 
     if emb is None:
         trace.append("base-colorer")
-        c0 = base(G, alive & ~zmask)
+        c0 = base(G, alive & ~Z)
         assert c0.palette_size <= d, "base colorer exceeded its palette"
         fresh = _fresh(f, k)
         g = dict(f)
@@ -286,25 +299,24 @@ def _extend(
         return g
 
     trace.append("decompose")
-    piece = bits(alive)
     out = structure_theorem(
-        G.subgraph_on(piece), t, emb=emb, limit=max(G.n * 4, 30)
+        G.subgraph_on(bits(alive)), t, emb=emb, limit=max(G.n * 4, 30)
     )
     if isinstance(out, OddMinorModel):
         raise OddMinorFoundError(t, out)
     dec: Decomposition = out
-    X, U = set(dec.X), set(dec.U)
-    assert set(piece) - X - U <= Z, "stray vertex outside apex set and block"
+    X, U = sum(1 << v for v in dec.X), sum(1 << v for v in dec.U)
+    assert not alive & ~X & ~U & ~Z, "stray vertex outside apex set and block"
     avail = _fresh(f, 4 * t - 4)
     assert len(avail) >= 3, "not enough fresh colors"
     c1, c2, c3 = avail[:3]
-    UZ = U - Z
-    side = bipartition(G, sum(1 << v for v in UZ))
+    UZ = U & ~Z
+    side = bipartition(G, UZ)
     assert side is not None
     g = dict(f)
-    for v in X - Z:
+    for v in bits(X & ~Z):
         g[v] = c1
-    for v in UZ:
+    for v in bits(UZ):
         g[v] = c2 if side(v) == 1 else c3
     return g
 
@@ -315,10 +327,16 @@ def _extend(
 
 
 def _maybe_precheck(G: Graph, t: int) -> None:
-    """Search a host of at most 10 vertices for an odd K_t minor up front."""
-    from .oddminor import find_odd_clique_minor
+    """Search a host of at most 10 vertices for an odd K_t minor up front.
 
+    For t >= 3 the size guard runs first, then a host that `bipartition`
+    2-colors returns at once: an odd K_t (t >= 3) holds an odd cycle. Any
+    other host goes to `find_odd_clique_minor`."""
     if G.n <= 10:
+        if t >= 3:
+            check_size(G, None, "find_odd_clique_minor")
+            if bipartition(G) is not None:
+                return
         model = find_odd_clique_minor(G, t)
         if model is not None:
             raise OddMinorFoundError(t, model)
@@ -330,9 +348,9 @@ def color_defective(
     """Color with at most 6t-9 colors; returns the coloring and the achieved
     defect. Raises OddMinorFoundError with a certificate when an odd K_t
     minor surfaces (always on graphs with at most 10 vertices, which are
-    checked up front by `find_odd_clique_minor`; for t >= 3 the detector
-    answers a bipartite host from its blocks, before the exhaustive search
-    builds any subset)."""
+    checked up front: for t >= 3 a host that `bipartition` 2-colors has
+    none, and any other goes to `find_odd_clique_minor`). The precoloring
+    recursion then runs on vertex masks of the one host."""
     if t < 2:
         raise ValueError("t must be >= 2")
     _maybe_precheck(G, t)

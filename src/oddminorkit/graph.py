@@ -537,6 +537,27 @@ def find_small_separation(
     side, minimizing order (tie-break: lexicographically least A cap B).
     None if no such separation exists.
 
+    The search is `small_separation` on masks; this wrapper turns Z into a
+    mask (ids outside the graph ignored) and the answer into sets.
+    """
+    full = (1 << G.n) - 1 if alive is None else alive
+    zmask = 0
+    for z in set(Z):
+        if 0 <= z < G.n:
+            zmask |= 1 << z
+    sep = small_separation(G, zmask, max_order, full)
+    if sep is None:
+        return None
+    A, B = sep
+    return Separation(frozenset(bits(A)), frozenset(bits(B)))
+
+
+def small_separation(
+    G: Graph, zmask: int, max_order: int, alive: int
+) -> Optional[tuple[int, int]]:
+    """find_small_separation on vertex masks: the (A, B) masks of the same
+    separation of G[alive] for the precolored mask zmask, or None.
+
     Cuts are tried by order, and within one order in lexicographic order.
     For each cut the components of G[alive] - cut are flood-filled by
     Graph.reach, lowest vertex first; A is the cut plus the first component
@@ -544,20 +565,15 @@ def find_small_separation(
     cut, and the order of cuts is that of G[alive] renumbered by vertex id,
     so the separation is the one found there.
     """
-    n = G.n
     reach = G.reach
-    full = (1 << n) - 1 if alive is None else alive
-    outside_z = full
-    for z in set(Z):
-        if 0 <= z < n:
-            outside_z &= ~(1 << z)
-    members = bits(full)
+    outside_z = alive & ~zmask
+    members = bits(alive)
     for k in range(0, max_order + 1):
         for cut in itertools.combinations(members, k):
             cutmask = 0
             for v in cut:
                 cutmask |= 1 << v
-            rest = left = full & ~cutmask
+            rest = left = alive & ~cutmask
             side_a = 0
             while rest:
                 comp = reach(rest & -rest, left)
@@ -566,6 +582,5 @@ def find_small_separation(
                     break
                 rest &= ~comp
             if side_a and left & outside_z & ~side_a:
-                A, B = side_a | cutmask, full & ~side_a
-                return Separation(frozenset(bits(A)), frozenset(bits(B)))
+                return side_a | cutmask, alive & ~side_a
     return None

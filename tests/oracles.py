@@ -124,6 +124,18 @@ def largest_class_component(G: Graph, colors) -> int:
                default=0)
 
 
+def degeneracy_order(G: Graph, vertices) -> list[int]:
+    """Remove, one at a time, a vertex of least degree in what is left of
+    G[vertices], ties to the lowest id; degrees from networkx."""
+    H = nxg(G).subgraph(vertices).copy()
+    order = []
+    while H:
+        v = min(H, key=lambda u: (H.degree(u), u))
+        order.append(v)
+        H.remove_node(v)
+    return order
+
+
 def is_separation(G: Graph, A, B) -> bool:
     """A and B cover V(G) and no edge joins A - B to B - A."""
     if set(A) | set(B) != set(G.vertices()):

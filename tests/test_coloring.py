@@ -1,6 +1,7 @@
 """Quality measures and their verifier, base colorers, precoloring
 extension, entry points, bounds."""
 
+import hashlib
 import math
 import random
 
@@ -14,6 +15,8 @@ from oddminorkit import (
     SizeLimitError,
     bound_M,
     bound_N,
+    certify_coloring,
+    certify_odd_minor_model,
     color_clustered,
     color_defective,
     complete,
@@ -23,6 +26,7 @@ from oddminorkit import (
     find_signed_minor,
     precolor_extend,
     random_graph,
+    serialize_certificate,
     verify_coloring,
     verify_odd_minor_model,
 )
@@ -30,6 +34,7 @@ from oddminorkit.graph import bipartition, bits, blocks
 from oddminorkit.coloring import (
     _achieved_cluster,
     _achieved_defect,
+    _degeneracy_order,
     _palette_fault,
     base_clustered_coloring,
     base_defective_coloring,
@@ -159,6 +164,14 @@ def test_routines_on_a_mask_answer_as_on_the_induced_piece(seed, data):
     assert base_clustered_coloring(G, alive) == (back(c), cluster)
 
 
+@given(st.integers(0, 10**6), st.data())
+def test_degeneracy_order_removes_a_least_degree_vertex_each_step(seed, data):
+    rng = random.Random(seed)
+    G = random_graph(rng.randint(0, 12), rng.choice((0.2, 0.4, 0.7)), seed)
+    alive = data.draw(st.integers(0, (1 << G.n) - 1))
+    assert _degeneracy_order(G, alive) == oracles.degeneracy_order(G, bits(alive))
+
+
 # ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------
@@ -252,6 +265,30 @@ def test_precheck_obeys_the_size_guard(monkeypatch):
     assert str(e.value) == "find_odd_clique_minor: graph has 6 > 4 vertices"
 
 
+def test_the_precheck_two_colors_before_the_odd_clique_search(monkeypatch):
+    # for t >= 3 a bipartite host never reaches the detector; an odd cycle,
+    # or t = 2, where any edge is an odd K_2, does, once
+    calls = []
+
+    def spy(G, t, *args):
+        calls.append((G, t))
+        return find_odd_clique_minor(G, t, *args)
+
+    monkeypatch.setattr("oddminorkit.oddminor.find_odd_clique_minor", spy)
+    monkeypatch.setattr("oddminorkit.coloring.find_odd_clique_minor", spy,
+                        raising=False)
+    for t in (3, 4):
+        for G in BIPARTITE_HOSTS:
+            color_defective(G, t)
+            color_clustered(G, t)
+    assert calls == []
+    for G, t in ((cycle(5), 3), (cycle(8), 2)):
+        with pytest.raises(OddMinorFoundError):
+            color_defective(G, t)
+        assert calls == [(G, t)]
+        calls.clear()
+
+
 def test_trace_reports_recursion_cases():
     trace: list = []
     color_defective(complete_bipartite(3, 3), 3, trace=trace)
@@ -307,6 +344,44 @@ def test_split_maps_a_surfaced_model_back_to_the_host(color, shift, trace_head):
     assert {v for vs in model.trees.values() for v in vs} <= side
     ok, reason = verify_odd_minor_model(G, Kt(3), model)
     assert ok, reason
+
+
+# K_{4,9}, the odd K_{4,9} with the pendant path 0-13-14, renumbered
+# v -> v + 2 mod 15 (the CLI smoke host split15.txt), and C_12 at t = 3, 4
+SPLIT15 = Graph(15, [((u + 2) % 15, (v + 2) % 15)
+                     for u, v in list(K49_ODD.edges()) + [(0, 13), (13, 14)]])
+# sha256 of _recursion_rows() as recorded with the Separation-based recursion
+RECURSION_PIN = "1c95ea7467014afbaf1008a5fc03cbe0fb0186fd20bbcd2c42326e660171e77b"
+
+
+def _recursion_rows() -> list[str]:
+    rows = []
+    for G in (cycle(12), K49, SPLIT15):
+        for t in (3, 4):
+            for mode, color, bound in (("defective", color_defective, 6 * t - 9),
+                                       ("clustered", color_clustered, 10 * t - 13)):
+                trace: list = []
+                try:
+                    g, value = color(G, t, trace=trace)
+                    cert = certify_coloring(G, g, mode, t, bound, value)
+                except OddMinorFoundError as e:
+                    cert = certify_odd_minor_model(G, Kt(t), e.model)
+                rows.append(f"{serialize_certificate(cert)}|{trace}")
+    return rows
+
+
+def test_the_recursion_splits_on_masks_alone(monkeypatch):
+    # the recursion takes each split as masks: no Separation is built, and
+    # the colorings, models and traces are the ones recorded before
+    def no_sets(*args, **kwargs):
+        raise AssertionError("the recursion built a Separation")
+
+    monkeypatch.setattr("oddminorkit.graph.Separation", no_sets)
+    monkeypatch.setattr("oddminorkit.coloring.find_small_separation", no_sets,
+                        raising=False)
+    rows = _recursion_rows()
+    assert sum("split:" in r for r in rows) >= 6
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == RECURSION_PIN
 
 
 @given(st.integers(0, 150))
